@@ -614,11 +614,24 @@ def witness_A(split, d, density_M=20, density_D=2, seed=0, A=None):
     return WitnessA(alpha, report)
 
 
+class CertificateSelfCheckError(RuntimeError):
+    """A certificate that classify built failed its own re-verification,
+    or no verdict of the trichotomy applied: an engine fault, never a
+    property of the input."""
+
+
+def _self_check(A, cert):
+    ok, reason = verify_certificate(A, cert)
+    if not ok:
+        raise CertificateSelfCheckError(reason)
+
+
 def classify(A, d, density_M=20, density_D=2, seed=0, cap=512):
     """Decide the trichotomy for a dominant AdditiveMap and d >= 1."""
     if not isinstance(A, AdditiveMap):
         A = AdditiveMap(A)
-    assert d >= 1
+    if d < 1:
+        raise ValueError("d must be >= 1")
     split = split_endomorphism(A.to_skew(), cap=cap)
     applicable = set()
     if any(k == 0 for k, _ in split.blocks):
@@ -627,16 +640,15 @@ def classify(A, d, density_M=20, density_D=2, seed=0, cap=512):
         applicable.add("C")
     if split.N0 == 0 or (split.min_ni() >= 1 and split.max_mi() <= d):
         applicable.add("A")
-    assert applicable, "trichotomy totality violated"
+    if not applicable:
+        raise CertificateSelfCheckError("trichotomy totality violated")
     if "B" in applicable:
         cert = build_certificate_B(split)
-        ok, reason = verify_certificate(A, cert)
-        assert ok, reason
+        _self_check(A, cert)
         return Verdict("B", cert, split, applicable)
     if "C" in applicable:
         cert = build_certificate_C(split, d)
-        ok, reason = verify_certificate(A, cert)
-        assert ok, reason
+        _self_check(A, cert)
         return Verdict("C", cert, split, applicable)
     cert = witness_A(split, d, density_M=density_M, density_D=density_D,
                      seed=seed, A=A)

@@ -8,8 +8,9 @@ are word characters; values are exact textual forms of the objects
 bracketed vectors `[c0,c1,...]`).  Lists use ` ; ` separators.
 
 Exit codes: 0 ok, 1 parse/validation error, 2 classification bound
-exhausted (Unknown), 3 certificate/problem digest mismatch, 4
-certificate verification failure.
+exhausted (Unknown, or a degree/size cap of the engine), 3
+certificate/problem digest mismatch, 4 certificate verification failure
+(including a certificate that fails its self-check inside classify).
 """
 
 import argparse
@@ -22,12 +23,12 @@ from .mrat import MPoly, MRatFun
 from .ore import OrePoly, OreParseError, format_ore, parse_ore, \
     parse_field_literal
 from .skew import min_poly_center, tilde
-from .split import (NonDominantError, UnknownClassificationError,
-                    split_endomorphism)
+from .split import (CapacityError, NonDominantError,
+                    UnknownClassificationError, split_endomorphism)
 from .classify import (AdditiveMap, CertificateB, CertificateC,
-                       check_independence, classify,
-                       construct_independent_points, density_check_orbit,
-                       orbit, verify_certificate)
+                       CertificateSelfCheckError, check_independence,
+                       classify, construct_independent_points,
+                       density_check_orbit, orbit, verify_certificate)
 from .fsets import (FpFModule, FSetDescriptor, LambdaEqInstance,
                     lambda_density, fset_enumerate)
 
@@ -89,8 +90,10 @@ def parse_sections(text):
     return sections
 
 
-def _get_int(sec, key, section_name):
+def _get_int(sec, key, section_name, default=None):
     if key not in sec:
+        if default is not None:
+            return default
         raise CLIError("missing key %r in [%s]" % (key, section_name))
     try:
         return int(sec[key])
@@ -296,7 +299,7 @@ def problem_fset(problem):
     if "fset" not in problem.sections:
         raise CLIError("problem file has no [fset] section")
     sec = problem.sections["fset"]
-    nvars = int(sec.get("nvars", "1"))
+    nvars = _get_int(sec, "nvars", "fset", default=1)
     if "gamma0" not in sec:
         raise CLIError("[fset] needs gamma0")
     gamma0 = parse_point(_split_list(sec["gamma0"]), problem.spec, nvars)
@@ -326,8 +329,8 @@ def problem_fset(problem):
         raise CLIError("unknown keys in [fset]: %s"
                        % ", ".join(sorted(extra)))
     desc = FSetDescriptor(gamma0, gammas, ks, FpFModule(hgens))
-    b = int(sec.get("b", "3"))
-    module_bound = int(sec.get("module_bound", "0"))
+    b = _get_int(sec, "b", "fset", default=3)
+    module_bound = _get_int(sec, "module_bound", "fset", default=0)
     include_zero = sec.get("include_zero", "false").lower() == "true"
     return desc, b, module_bound, include_zero
 
@@ -463,8 +466,10 @@ def parse_certificate(text, spec):
             raise CLIError("certificate A has no witness coordinates")
         payload = {
             "alpha": alpha,
-            "density_m": int(csec.get("density_m", "20")),
-            "density_d": int(csec.get("density_d", "2")),
+            "density_m": _get_int(csec, "density_m", "certificate",
+                                  default=20),
+            "density_d": _get_int(csec, "density_d", "certificate",
+                                  default=2),
         }
     else:
         raise CLIError("unknown certificate kind %r" % kind)
@@ -481,6 +486,8 @@ def cmd_classify(args, out):
     d = args.d if args.d is not None else q.get("d")
     if d is None:
         raise CLIError("no dimension d given ([question] or --d)")
+    if d < 1:
+        raise CLIError("dimension d must be >= 1")
     density_m = args.density_M if args.density_M is not None \
         else q.get("density_m", 20)
     density_d = args.density_D if args.density_D is not None \
@@ -690,6 +697,13 @@ def main(argv=None):
     except CLIError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
+    except CapacityError as exc:
+        print("error: bound exhausted: %s" % exc, file=sys.stderr)
+        return 2
+    except CertificateSelfCheckError as exc:
+        print("error: certificate self-check failed: %s" % exc,
+              file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

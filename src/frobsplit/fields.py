@@ -3,6 +3,13 @@ univariate polynomials and rational functions over them, and fraction-free
 linear algebra over the rational function field.
 
 All values are immutable; every operation is a pure function.
+
+An element of F_q is packed into a single int (see FqElem): bit i holds
+the coefficient of x^i for p = 2, and a w-bit slot holds it for odd p.
+Only FieldSpec and FqElem know that format; everything else reads the
+power-basis tuple `FqElem.coeffs`.  Multiplication is a carry-less
+shift/XOR product for p = 2 and one big-int (Kronecker) product for odd
+p, each followed by reduction modulo the field's modulus.
 """
 
 from functools import lru_cache
@@ -129,7 +136,10 @@ def smallest_irreducible(p, ell):
 
 
 class FieldSpec:
-    """The field F_q with q = p^ell, as F_p[x]/(modulus)."""
+    """The field F_q with q = p^ell, as F_p[x]/(modulus).
+
+    Besides the field data, a FieldSpec holds the constants of the packed
+    element format (see FqElem), computed once here."""
 
     _cache = {}
 
@@ -149,6 +159,35 @@ class FieldSpec:
         self.ell = ell
         self.q = p ** ell
         self.modulus = modulus
+        if p == 2:
+            self._w = 1
+        else:
+            # Slot values handed to _reduce stay below x_max (a product
+            # before reduction, or a sum a + (P_all - b)).  q_i = x_i // p
+            # is read as (x_i * recip) >> shift, exact for x_i <= x_max
+            # because x_max * (recip * p - 2^shift) < 2^shift, and the slot
+            # is wide enough that x_i * recip cannot carry out of it.
+            x_max = ell * (p - 1) ** 2 + p
+            self._shift = (x_max * (p - 1)).bit_length()
+            self._recip = -(-(1 << self._shift) // p)
+            self._w = (x_max * self._recip).bit_length()
+            ones = sum(1 << (self._w * i) for i in range(2 * ell - 1))
+            self._quot_mask = ones * ((1 << (self._w - self._shift)) - 1)
+            self._p_all = self._pack((p,) * ell)
+        self._slot_mask = (1 << self._w) - 1
+        self._low = (1 << (self._w * ell)) - 1
+        if ell == 1:
+            self._mul = self._mul_prime
+        elif p == 2:
+            # x^ell = sum of x^i over the taps
+            self._taps = tuple(i for i in range(ell) if modulus[i])
+            self._mul = self._mul_binary
+        else:
+            self._mu = self._pack(_barrett_mu(modulus, p))
+            self._neg_tail = self._pack(tuple(-c % p for c in modulus[:ell]))
+            self._mul = self._mul_slots
+        self._zero = _elem(self, 0)
+        self._one = _elem(self, 1)
 
     @classmethod
     def get(cls, p, ell, modulus=None):
@@ -157,26 +196,82 @@ class FieldSpec:
             cls._cache[key] = cls(p, ell, modulus)
         return cls._cache[key]
 
+    # -- the packed format ---------------------------------------------------
+
+    def _pack(self, coeffs):
+        w = self._w
+        return sum(c << (w * i) for i, c in enumerate(coeffs))
+
+    def _reduce(self, x):
+        """Every slot of x taken mod p (odd p), with whole-int operations."""
+        return x - (((x * self._recip) >> self._shift) & self._quot_mask) \
+            * self.p
+
+    def _mul_prime(self, a, b):
+        return a * b % self.p
+
+    def _mul_binary(self, a, b):
+        # carry-less product: a shifted to each set bit of b, XORed
+        r = 0
+        while b:
+            bit = b & -b
+            r ^= a * bit
+            b ^= bit
+        ell, low, taps = self.ell, self._low, self._taps
+        while r >> ell:
+            hi = r >> ell
+            r &= low
+            for i in taps:
+                r ^= hi << i
+        return r
+
+    def _mul_slots(self, a, b):
+        # One Kronecker product, then Barrett reduction: the quotient by
+        # the modulus is floor(hi * mu / x^ell), mu = floor(x^(2 ell) /
+        # modulus), and the remainder is lo + quotient * (-tail) mod x^ell.
+        # Every slot of each product is at most ell*(p-1)^2 before _reduce.
+        reduce, sh = self._reduce, self._w * self.ell
+        t = reduce(a * b)
+        quot = reduce(((t >> sh) * self._mu) >> sh)
+        return reduce((t & self._low) + ((quot * self._neg_tail) & self._low))
+
+    def _pow(self, v, e):
+        """v^e for a packed v and e >= 0, by square-and-multiply."""
+        if not e:
+            return 1
+        if not v:
+            return 0
+        e = (e - 1) % (self.q - 1) + 1
+        mul = self._mul
+        acc = v
+        for bit in bin(e)[3:]:
+            acc = mul(acc, acc)
+            if bit == "1":
+                acc = mul(acc, v)
+        return acc
+
+    # -- elements ------------------------------------------------------------
+
     def zero(self):
-        return FqElem(self, (0,) * self.ell)
+        return self._zero
 
     def one(self):
-        return FqElem(self, (1,) + (0,) * (self.ell - 1))
+        return self._one
 
     def from_int(self, n):
-        return FqElem(self, (n % self.p,) + (0,) * (self.ell - 1))
+        return _elem(self, n % self.p)
 
     def generator(self):
         """The residue class of x (a generator of F_q over F_p)."""
         if self.ell == 1:
-            return self.one()
-        return FqElem(self, (0, 1) + (0,) * (self.ell - 2))
+            return self._one
+        return _elem(self, 1 << self._w)
 
     def element(self, coeffs):
         coeffs = tuple(c % self.p for c in coeffs)
         if len(coeffs) > self.ell:
             raise ValueError("too many coefficients for F_%d^%d" % (self.p, self.ell))
-        return FqElem(self, coeffs + (0,) * (self.ell - len(coeffs)))
+        return _elem(self, self._pack(coeffs))
 
     def all_elements(self):
         for code in range(self.q):
@@ -184,10 +279,11 @@ class FieldSpec:
             for _ in range(self.ell):
                 digits.append(c % self.p)
                 c //= self.p
-            yield FqElem(self, tuple(digits))
+            yield _elem(self, self._pack(digits))
 
     def random_element(self, rng):
-        return FqElem(self, tuple(rng.randrange(self.p) for _ in range(self.ell)))
+        return _elem(self, self._pack([rng.randrange(self.p)
+                                       for _ in range(self.ell)]))
 
     def __eq__(self, other):
         return (isinstance(other, FieldSpec) and self.p == other.p
@@ -200,76 +296,92 @@ class FieldSpec:
         return "FieldSpec(p=%d, ell=%d)" % (self.p, self.ell)
 
 
-class FqElem:
-    """Element of F_q as a length-ell coefficient vector over F_p."""
+def _barrett_mu(modulus, p):
+    """Coefficients of floor(x^(2 ell) / modulus) over F_p (modulus monic)."""
+    ell = len(modulus) - 1
+    num = [0] * (2 * ell) + [1]
+    mu = [0] * (ell + 1)
+    for k in range(2 * ell, ell - 1, -1):
+        c = num[k] % p
+        if c:
+            mu[k - ell] = c
+            for i, m in enumerate(modulus):
+                num[k - ell + i] -= c * m
+    return mu
 
-    __slots__ = ("spec", "coeffs", "_hash")
+
+class FqElem:
+    """Element of F_q, packed into one int `packed`.
+
+    For p = 2, bit i of `packed` is the coefficient of x^i.  For odd p,
+    the coefficient of x^i sits in bits [w*i, w*(i+1)) of `packed` as a
+    canonical digit in [0, p).  The slot width w is the bit length of
+    x_max * ceil(2^s / p), with x_max = ell*(p-1)^2 + p the largest slot
+    value arithmetic produces before reduction and s the bit length of
+    x_max*(p-1): wide enough that a product (or a sum) and the whole-int
+    reduction of every slot mod p never carry from one slot into the
+    next.  The element 0 packs to 0, 1 to 1, and the prime-field element
+    k to k.  `coeffs` is the power-basis view: the tuple of the ell
+    digits, lowest degree first.
+    """
+
+    __slots__ = ("spec", "packed", "_hash")
 
     def __init__(self, spec, coeffs):
         self.spec = spec
-        self.coeffs = coeffs
-        self._hash = None
+        self.packed = spec._pack(coeffs)
+
+    @property
+    def coeffs(self):
+        spec = self.spec
+        v, w, mask = self.packed, spec._w, spec._slot_mask
+        return tuple((v >> (w * i)) & mask for i in range(spec.ell))
 
     def __add__(self, other):
-        return FqElem(self.spec, tuple((a + b) % self.spec.p
-                                       for a, b in zip(self.coeffs, other.coeffs)))
+        spec = self.spec
+        if spec.p == 2:
+            return _elem(spec, self.packed ^ other.packed)
+        return _elem(spec, spec._reduce(self.packed + other.packed))
 
     def __sub__(self, other):
-        return FqElem(self.spec, tuple((a - b) % self.spec.p
-                                       for a, b in zip(self.coeffs, other.coeffs)))
+        spec = self.spec
+        if spec.p == 2:
+            return _elem(spec, self.packed ^ other.packed)
+        return _elem(spec, spec._reduce(self.packed + spec._p_all
+                                        - other.packed))
 
     def __neg__(self):
-        return FqElem(self.spec, tuple((-a) % self.spec.p for a in self.coeffs))
+        spec = self.spec
+        if spec.p == 2:
+            return self
+        return _elem(spec, spec._reduce(spec._p_all - self.packed))
 
     def __mul__(self, other):
         spec = self.spec
-        if spec.ell == 1:
-            return FqElem(spec, ((self.coeffs[0] * other.coeffs[0]) % spec.p,))
-        p = spec.p
-        a, b = self.coeffs, other.coeffs
-        res = [0] * (2 * spec.ell - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    res[i + j] = (res[i + j] + x * y) % p
-        m = spec.modulus
-        for k in range(len(res) - 1, spec.ell - 1, -1):
-            c = res[k]
-            if c:
-                shift = k - spec.ell
-                for i in range(spec.ell):
-                    res[shift + i] = (res[shift + i] - c * m[i]) % p
-            res[k] = 0
-        return FqElem(spec, tuple(res[:spec.ell]))
+        return _elem(spec, spec._mul(self.packed, other.packed))
 
     def __pow__(self, e):
         if e < 0:
             return self.inverse() ** (-e)
-        result = self.spec.one()
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return _elem(self.spec, self.spec._pow(self.packed, e))
 
     def inverse(self):
-        if self.is_zero():
+        if not self.packed:
             raise ZeroDivisionError("inverse of zero in F_q")
-        return self ** (self.spec.q - 2)
+        spec = self.spec
+        return _elem(spec, spec._pow(self.packed, spec.q - 2))
 
     def __truediv__(self, other):
         return self * other.inverse()
 
     def is_zero(self):
-        return all(c == 0 for c in self.coeffs)
+        return not self.packed
 
     def is_one(self):
-        return self.coeffs[0] == 1 and all(c == 0 for c in self.coeffs[1:])
+        return self.packed == 1
 
     def in_prime_field(self):
-        return all(c == 0 for c in self.coeffs[1:])
+        return self.packed < self.spec.p
 
     def frobenius(self, i=1):
         """Return self^(p^i).  frobenius(a, ell) is the identity on F_q."""
@@ -281,23 +393,31 @@ class FqElem:
         return self ** (self.spec.p ** i)
 
     def __eq__(self, other):
-        return (isinstance(other, FqElem) and self.spec == other.spec
-                and self.coeffs == other.coeffs)
+        return (isinstance(other, FqElem) and self.packed == other.packed
+                and (self.spec is other.spec or self.spec == other.spec))
 
     def __hash__(self):
-        if self._hash is None:
+        try:
+            return self._hash
+        except AttributeError:
             self._hash = hash((self.spec.p, self.spec.ell, self.coeffs))
-        return self._hash
+            return self._hash
 
     def __repr__(self):
         if self.spec.ell == 1:
-            return str(self.coeffs[0])
+            return str(self.packed)
         return "[" + ",".join(str(c) for c in self.coeffs) + "]"
 
 
-def frobenius(a, i):
-    """Coefficientwise Frobenius x -> x^(p^i) on F_q."""
-    return a.frobenius(i)
+_new = object.__new__
+
+
+def _elem(spec, packed):
+    """An FqElem straight from its packed int."""
+    e = _new(FqElem)
+    e.spec = spec
+    e.packed = packed
+    return e
 
 
 # ---------------------------------------------------------------------------
@@ -841,10 +961,6 @@ def mat_identity(spec, n):
     one = RatFun.one(spec)
     zero = RatFun.zero(spec)
     return [[one if i == j else zero for j in range(n)] for i in range(n)]
-
-
-def mat_scalar_mul(c, A):
-    return [[c * a for a in row] for row in A]
 
 
 def mat_is_zero(A):

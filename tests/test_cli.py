@@ -231,3 +231,77 @@ def test_parse_mrat_roundtrip():
                  "(t1^3 + 1) / (t1^2 + t1)"):
         f = parse_mrat(text, spec, 1)
         assert parse_mrat(repr(f), spec, 1) == f
+
+
+def test_fset_bad_nvars_is_error_exit_1(tmp_path, capsys):
+    prob = tmp_path / "p.txt"
+    prob.write_text("[field]\np = 2\nell = 1\n\n[fset]\nnvars = x\n"
+                    "gamma0 = 0\ngamma_1 = t1\nk_1 = 1\n")
+    assert main(["tools", "fset", str(prob)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "nvars" in err
+
+
+def test_dimension_below_one_is_error_exit_1(tmp_path, capsys):
+    prob = tmp_path / "p.txt"
+    prob.write_text(IDENTITY.replace("d = 1", "d = 0"))
+    assert main(["classify", str(prob)]) == 1
+    assert capsys.readouterr().err == "error: dimension d must be >= 1\n"
+
+
+def test_capacity_error_is_error_exit_2(tmp_path, capsys, monkeypatch):
+    from frobsplit import split
+    monkeypatch.setattr(split, "_DEGREE_CAP_X", 0)
+    prob = tmp_path / "p.txt"
+    prob.write_text(IDENTITY)
+    assert main(["classify", str(prob)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: bound exhausted: x-degree")
+    assert captured.err.count("\n") == 1
+    assert "verdict" not in captured.out
+
+
+def test_self_check_failure_is_error_exit_4(tmp_path, capsys, monkeypatch):
+    import importlib
+    # the package re-exports the function `classify` under the module's name
+    classify_mod = importlib.import_module("frobsplit.classify")
+    monkeypatch.setattr(classify_mod, "verify_certificate",
+                        lambda A, cert: (False, "forced mismatch"))
+    with pytest.raises(classify_mod.CertificateSelfCheckError,
+                       match="forced mismatch"):
+        classify_mod.classify(parse_problem(IDENTITY).additive_map(), 1)
+    prob = tmp_path / "p.txt"
+    prob.write_text(DIAG_FF)
+    cert = tmp_path / "c.txt"
+    assert main(["classify", str(prob), "--out", str(cert)]) == 4
+    captured = capsys.readouterr()
+    assert captured.err == ("error: certificate self-check failed: "
+                            "forced mismatch\n")
+    assert not cert.exists()
+
+
+def test_classify_under_optimize_flag_writes_same_certificate(tmp_path):
+    import os
+    import subprocess
+    import sys
+    import frobsplit
+    prob = tmp_path / "p.txt"
+    prob.write_text(DIAG_FF)
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(
+        frobsplit.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    certs = []
+    for flags in ([], ["-O"]):
+        cert = tmp_path / ("c%d.txt" % len(certs))
+        done = subprocess.run([sys.executable] + flags
+                              + ["-m", "frobsplit.cli", "classify",
+                                 str(prob), "--out", str(cert)],
+                              env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert "verdict = C" in done.stdout
+        certs.append(cert.read_bytes())
+    assert certs[0] == certs[1]
