@@ -14,7 +14,7 @@ from .split import (FactorClassification, SplitData, factor_center,
                     classify_factor, split_endomorphism,
                     jordan_form_central, power_up, CapacityError,
                     NonDominantError, UnknownClassificationError)
-from .classify import (AdditiveMap, FiniteToFiniteMap, CertificateB,
+from .classify import (AdditiveMap, CertificateB,
                        CertificateC, DensityReport, WitnessA, Verdict,
                        classify, build_certificate_B, build_certificate_C,
                        derive_iterate_certificate, verify_certificate,

@@ -11,7 +11,7 @@ holds and produce a certificate.
 
 import random
 
-from .fields import FieldSpec, RatFun
+from .fields import FieldSpec, RatFun, power
 from .fqfactor import embedding, monic_irreducibles
 from .mrat import MPoly, MRatFun, fp_kernel, linearize_fractions
 from .ore import OrePoly
@@ -55,18 +55,6 @@ class AdditiveMap:
         return "AdditiveMap(%d x %d over %r)" % (self.N, self.N, self.spec)
 
 
-class FiniteToFiniteMap:
-    """The correspondence x -> {y : [h](y) = B*x} with h in F_p[F^ell]."""
-
-    def __init__(self, h, B):
-        assert not h.is_zero()
-        self.h = h
-        self.B = B
-
-    def __repr__(self):
-        return "FiniteToFiniteMap(h=%r, B=%r)" % (self.h, self.B)
-
-
 # ---------------------------------------------------------------------------
 # Ore matrix helpers (exact arithmetic in F_q[F])
 
@@ -90,15 +78,11 @@ def ore_mat_mul(A, B):
 def ore_mat_pow(A, e):
     spec = A[0][0].spec
     n = len(A)
-    result = [[OrePoly.one(spec) if i == j else OrePoly.zero(spec)
-               for j in range(n)] for i in range(n)]
-    base = [list(r) for r in A]
-    while e:
-        if e & 1:
-            result = ore_mat_mul(result, base)
-        base = ore_mat_mul(base, base)
-        e >>= 1
-    return result
+
+    def identity():
+        return [[OrePoly.one(spec) if i == j else OrePoly.zero(spec)
+                 for j in range(n)] for i in range(n)]
+    return power(A, e, identity, ore_mat_mul)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from .mrat import MPoly, MRatFun
 from .ore import OrePoly, OreParseError, format_ore, parse_ore, \
     parse_field_literal
 from .skew import min_poly_center, tilde
-from .split import (CapacityError, NonDominantError,
+from .split import (CapacityError, NonDominantError, SplitSelfCheckError,
                     UnknownClassificationError, split_endomorphism)
 from .classify import (AdditiveMap, CertificateB, CertificateC,
                        CertificateSelfCheckError, check_independence,
@@ -328,7 +328,10 @@ def problem_fset(problem):
     if extra:
         raise CLIError("unknown keys in [fset]: %s"
                        % ", ".join(sorted(extra)))
-    desc = FSetDescriptor(gamma0, gammas, ks, FpFModule(hgens))
+    try:
+        desc = FSetDescriptor(gamma0, gammas, ks, FpFModule(hgens))
+    except ValueError as exc:
+        raise CLIError(str(exc))
     b = _get_int(sec, "b", "fset", default=3)
     module_bound = _get_int(sec, "module_bound", "fset", default=0)
     include_zero = sec.get("include_zero", "false").lower() == "true"
@@ -621,8 +624,13 @@ def cmd_tools(args, out):
         desc, b, module_bound, include_zero = problem_fset(problem)
         if args.M is not None:
             b = args.M
-        pts = fset_enumerate(desc, b, module_bound,
-                             include_zero=include_zero)
+        try:
+            pts = fset_enumerate(desc, b, module_bound,
+                                 include_zero=include_zero)
+        except CapacityError:
+            raise
+        except ValueError as exc:
+            raise CLIError(str(exc))
         for pt in pts:
             print(" ; ".join(repr(c) for c in pt), file=out)
         print("count = %d" % len(pts), file=out)
@@ -703,6 +711,9 @@ def main(argv=None):
     except CertificateSelfCheckError as exc:
         print("error: certificate self-check failed: %s" % exc,
               file=sys.stderr)
+        return 4
+    except SplitSelfCheckError as exc:
+        print("error: split self-check failed: %s" % exc, file=sys.stderr)
         return 4
 
 

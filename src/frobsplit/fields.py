@@ -12,7 +12,26 @@ shift/XOR product for p = 2 and one big-int (Kronecker) product for odd
 p, each followed by reduction modulo the field's modulus.
 """
 
+import operator
 from functools import lru_cache
+
+
+def power(x, e, one, mul=operator.mul):
+    """x^e for an integer e >= 0 by square-and-multiply, left to right
+    from the top bit of e: x^1 costs no product, and x^e costs
+    bitlen(e) - 1 squarings plus popcount(e) - 1 products by x (no
+    product with the identity, no unused final squaring).  `one()` builds
+    the identity, needed only for e = 0; `mul` is the product."""
+    if e < 0:
+        raise ValueError("negative exponent %d" % e)
+    if not e:
+        return one()
+    acc = x
+    for bit in bin(e)[3:]:
+        acc = mul(acc, acc)
+        if bit == "1":
+            acc = mul(acc, x)
+    return acc
 
 
 def is_prime(n):
@@ -473,9 +492,6 @@ class CPoly:
     def is_one(self):
         return len(self.coeffs) == 1 and self.coeffs[0].is_one()
 
-    def is_constant(self):
-        return len(self.coeffs) <= 1
-
     def leading(self):
         if not self.coeffs:
             raise ValueError("zero polynomial has no leading coefficient")
@@ -521,14 +537,7 @@ class CPoly:
         return CPoly(self.spec, out)
 
     def __pow__(self, e):
-        result = CPoly.one(self.spec)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return power(self, e, lambda: CPoly.one(self.spec))
 
     def divmod(self, other):
         if other.is_zero():
@@ -961,10 +970,6 @@ def mat_identity(spec, n):
     one = RatFun.one(spec)
     zero = RatFun.zero(spec)
     return [[one if i == j else zero for j in range(n)] for i in range(n)]
-
-
-def mat_is_zero(A):
-    return all(a.is_zero() for row in A for a in row)
 
 
 def determinant(M):

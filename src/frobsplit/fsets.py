@@ -89,7 +89,8 @@ class FSetDescriptor:
         self.gammas = [tuple(g) for g in gammas]
         self.ks = list(ks)
         assert len(self.gammas) == len(self.ks)
-        assert all(k >= 1 for k in self.ks), "periods must be positive"
+        if not all(k >= 1 for k in self.ks):
+            raise ValueError("periods k_i must be >= 1")
         N = len(self.gamma0)
         assert all(len(g) == N for g in self.gammas)
         self.H = H if H is not None else FpFModule([])
@@ -106,7 +107,10 @@ def fset_enumerate(desc, B, module_bound, include_zero=False, cap=100000):
     """All points gamma_0 + sum F^(n_i k_i)(gamma_i) + h with exponents
     n_i in [1, B] (or [0, B] with include_zero) and h from the bounded
     module elements.  Exact and deduplicated."""
-    assert B >= 1 and module_bound >= 0
+    if B < 1:
+        raise ValueError("exponent bound b must be >= 1")
+    if module_bound < 0:
+        raise ValueError("module_bound must be >= 0")
     spec = desc.gamma0[0].spec
     nvars = desc.gamma0[0].nvars
     lo = 0 if include_zero else 1
@@ -255,7 +259,9 @@ def solve_lambda_eq(inst, m):
     lambda^m = c_0 + sum c_i t^(n_i); the search is bounded by degree
     comparison (no solution exponent can exceed the degrees involved)."""
     assert m >= 1
-    assert inst.r <= 3, "desk scale: r <= 3"
+    if inst.r > 3:
+        raise CapacityError("lambda equation with r = %d terms; the solver "
+                            "handles r <= 3" % inst.r)
     lm = inst.lam ** m
     if not lm.is_polynomial():
         return []

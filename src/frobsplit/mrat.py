@@ -46,21 +46,10 @@ class MPoly:
     def is_zero(self):
         return not self.terms
 
-    def is_constant(self):
-        return all(all(x == 0 for x in e) for e in self.terms)
-
     def is_one(self):
         return (len(self.terms) == 1
                 and (0,) * self.nvars in self.terms
                 and self.terms[(0,) * self.nvars].is_one())
-
-    def constant_value(self):
-        return self.terms.get((0,) * self.nvars, self.spec.zero())
-
-    def total_degree(self):
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
 
     def leading(self):
         """Leading (coefficient, exponent) under grlex order."""

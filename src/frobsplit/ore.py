@@ -3,7 +3,7 @@ its evaluation action on field elements and rational functions, Euclidean
 division on both sides, and decomposition over the center F_q[F^ell].
 """
 
-from .fields import CPoly, FqElem
+from .fields import CPoly, FqElem, power
 from .mrat import MRatFun
 
 
@@ -108,14 +108,7 @@ class OrePoly:
         return NotImplemented
 
     def __pow__(self, e):
-        result = OrePoly.one(self.spec)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return power(self, e, lambda: OrePoly.one(self.spec))
 
     def __call__(self, x):
         """Evaluate: (sum a_i F^i)(x) = sum a_i x^(p^i).

@@ -4,8 +4,7 @@ into M_{n*ell}(F_q(F^ell)), minimal polynomials over the center, and
 constructive inversion via central multipliers.
 """
 
-from .fields import (CPoly, RatFun, char_poly, kernel_basis, prime_coords,
-                     solve_linear)
+from .fields import CPoly, RatFun, char_poly, power, prime_coords, solve_linear
 from .ore import OrePoly
 
 
@@ -219,14 +218,8 @@ class SkewMatrix:
 
     def __pow__(self, e):
         assert self.rows == self.cols
-        result = SkewMatrix.identity(self.spec, self.rows)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return power(self, e,
+                     lambda: SkewMatrix.identity(self.spec, self.rows))
 
     def is_zero(self):
         return all(a.is_zero() for row in self.entries for a in row)
@@ -250,9 +243,6 @@ class SkewMatrix:
     def submatrix(self, row0, row1, col0, col1):
         return SkewMatrix(self.spec,
                           [row[col0:col1] for row in self.entries[row0:row1]])
-
-    def transform_rows(self, T):
-        return T * self
 
     def __repr__(self):
         return "SkewMatrix(%d x %d)\n%s" % (
@@ -284,10 +274,6 @@ def tilde(A):
                 for j in range(ell):
                     out[i * n + m][j * n + c] = prod.parts[j]
     return out
-
-
-def tilde_ore(spec, ore_entries):
-    return tilde(SkewMatrix.from_ore(spec, ore_entries))
 
 
 # ---------------------------------------------------------------------------
@@ -332,10 +318,6 @@ def central_multiplier(P):
     return Q, c
 
 
-def skew_inverse(u):
-    return u.inverse()
-
-
 # ---------------------------------------------------------------------------
 # division-ring Gaussian elimination
 
@@ -376,10 +358,6 @@ def gauss_eliminate(M):
         if piv == n:
             break
     return piv, SkewMatrix(spec, rows), SkewMatrix(spec, T)
-
-
-def matrix_rank(M):
-    return gauss_eliminate(M)[0]
 
 
 def matrix_inverse(M):
@@ -494,10 +472,6 @@ class CenterPoly:
         return cls(spec, (RatFun.zero(spec), RatFun.one(spec)))
 
     @classmethod
-    def from_ratfuns(cls, spec, coeffs):
-        return cls(spec, coeffs)
-
-    @classmethod
     def x_minus(cls, value):
         return cls(value.spec, (-value, RatFun.one(value.spec)))
 
@@ -530,10 +504,6 @@ class CenterPoly:
             raise ValueError("coefficients do not lie in F_p(s)")
         return self
 
-    def is_integral(self):
-        """Coefficients lie in F_q[s] (no denominators)."""
-        return all(c.den.is_one() for c in self.coeffs)
-
     def __add__(self, other):
         n = max(len(self.coeffs), len(other.coeffs))
         return CenterPoly(self.spec,
@@ -562,14 +532,7 @@ class CenterPoly:
         return CenterPoly(self.spec, out)
 
     def __pow__(self, e):
-        result = CenterPoly.one(self.spec)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return power(self, e, lambda: CenterPoly.one(self.spec))
 
     def divmod(self, other):
         if other.is_zero():
@@ -651,21 +614,6 @@ class CenterPoly:
             acc = acc * A + SkewMatrix.identity(A.spec, n).scale_central(c)
         return acc
 
-    def evaluate_ratfun_matrix(self, M):
-        """Q(M) for a square RatFun matrix."""
-        from .fields import mat_identity, mat_mul
-        n = len(M)
-        spec = self.spec
-        acc = [[RatFun.zero(spec)] * n for _ in range(n)]
-        for c in reversed(self.coeffs):
-            acc = mat_mul(acc, M)
-            for i in range(n):
-                acc[i][i] = acc[i][i] + c
-        return acc
-
-    def map_coeffs(self, fn):
-        return CenterPoly(self.spec, [fn(c) for c in self.coeffs])
-
     def __eq__(self, other):
         return (isinstance(other, CenterPoly) and self.spec == other.spec
                 and self.coeffs == other.coeffs)
@@ -706,35 +654,78 @@ def companion_matrix(g):
 
 def min_poly_center(A):
     """Monic least-degree Q over F_p(s) with Q(A) = 0, for a square
-    SkewMatrix A.  Terminates by the Cayley-Hamilton bound deg <= n*ell."""
+    SkewMatrix A.  Terminates by the Cayley-Hamilton bound deg Q <= n*ell.
+
+    Krylov style: Q is the first linear relation over F_p(s) among
+    I, A, A^2, ..., each power read as one column of its coordinates
+    (every entry part split by `prime_coords`).  The columns are kept in
+    Bareiss fraction-free echelon form over F_q[s] as powers are added:
+    the steps taken so far (pivot row swap, pivot, heads below it,
+    previous pivot) are replayed on each new column only, so no earlier
+    column is reduced again.  With R = n^2*ell^2 rows and m <= n*ell
+    powers this costs about R*m^2/2 polynomial operations, against
+    R*m^3/3 when the elimination is redone at every power.
+
+    Each column is cleared of denominators by the lcm d_k of its own
+    entries, not row by row.  Scaling column k by d_k scales only
+    coordinate k of a kernel vector: w' is a relation among the cleared
+    columns exactly when (d_k * w'_k)_k is one among the powers.  The
+    first column without a pivot depends on the earlier ones, which are
+    independent; back substitution against their stored echelon entries
+    gives w'.  The monic Q of least degree is unique, so it does not
+    depend on how rows or columns were scaled."""
     spec = A.spec
     n = A.rows
-    ell = spec.ell
-
-    def vec(M):
-        out = []
-        for row in M.entries:
-            for e in row:
-                for part in e.parts:
-                    out.extend(prime_coords(part))
-        return out
-
-    powers = [SkewMatrix.identity(spec, n)]
-    vecs = [vec(powers[0])]
-    bound = n * ell
-    B = powers[0]
-    for k in range(1, bound + 1):
-        B = B * A
-        vk = vec(B)
-        matrix = [[vecs[j][i] for j in range(k)] + [vk[i]]
-                  for i in range(len(vk))]
-        for w in kernel_basis(matrix):
-            if not w[k].is_zero():
-                inv = w[k].inverse()
-                coeffs = [w[i] * inv for i in range(k)] + [RatFun.one(spec)]
-                Q = CenterPoly(spec, coeffs)
-                return Q.assert_prime_field()
-        vecs.append(vk)
+    one = CPoly.one(spec)
+    cols = []  # per power k: (pivot row swapped in, d_k, echelon column k)
+    B = SkewMatrix.identity(spec, n)
+    for k in range(n * spec.ell + 1):
+        if k:
+            B = B * A
+        coords = [c for row in B.entries for e in row for part in e.parts
+                  for c in prime_coords(part)]
+        d = one
+        for c in coords:
+            if not c.den.is_one():
+                d = d.lcm(c.den)
+        v = [c.num if c.den == d else
+             c.num * (d if c.den.is_one() else d.exact_div(c.den))
+             for c in coords]
+        rows = len(v)
+        prev = None
+        for t, (swap, _, col) in enumerate(cols):
+            v[t], v[swap] = v[swap], v[t]
+            piv, top = col[t], v[t]
+            for i in range(t + 1, rows):
+                x, head = v[i], col[i]
+                if head.is_zero() or top.is_zero():
+                    if x.is_zero():
+                        continue
+                    x = piv * x
+                else:
+                    x = piv * x - head * top
+                if prev is not None and not x.is_zero():
+                    x = x.exact_div(prev)
+                v[i] = x
+            prev = piv
+        pr = next((i for i in range(k, rows) if not v[i].is_zero()), None)
+        if pr is not None:
+            v[k], v[pr] = v[pr], v[k]
+            cols.append((pr, d, v))
+            continue
+        # v[:k] = -(echelon columns 0..k-1) * w', with w'_k = 1
+        w = [None] * k
+        for t in reversed(range(k)):
+            acc = RatFun(v[t], _canonical=True)
+            for j in range(t + 1, k):
+                u = cols[j][2][t]
+                if not u.is_zero():
+                    acc = acc + RatFun(u, _canonical=True) * w[j]
+            w[t] = -(acc / RatFun(cols[t][2][t], _canonical=True))
+        inv_d = RatFun(one, d)
+        coeffs = [w[j] * RatFun(cols[j][1], _canonical=True) * inv_d
+                  for j in range(k)] + [RatFun.one(spec)]
+        return CenterPoly(spec, coeffs).assert_prime_field()
     raise AssertionError("no annihilating polynomial below Cayley-Hamilton bound")
 
 

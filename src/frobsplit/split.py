@@ -12,7 +12,8 @@ diagonal.
 import itertools
 import math
 
-from .fields import CPoly, FieldSpec, RatFun, char_poly, lift_cpoly
+from .fields import (CPoly, FieldSpec, RatFun, char_poly, lift_cpoly,
+                     mat_identity, mat_mul, power)
 from .fqfactor import factor as fq_factor
 from .skew import (CenterPoly, SkewElem, SkewMatrix, column_space_basis,
                    companion_matrix, gauss_eliminate, matrix_inverse,
@@ -25,6 +26,11 @@ class CapacityError(ValueError):
 
 class NonDominantError(ValueError):
     """The endomorphism is not dominant (minimal polynomial has root 0)."""
+
+
+class SplitSelfCheckError(RuntimeError):
+    """An exact identity that a correct split satisfies by construction
+    failed (an engine fault, not bad input)."""
 
 
 class UnknownClassificationError(RuntimeError):
@@ -78,7 +84,8 @@ def factor_center(r):
     prod = CenterPoly.one(spec)
     for g, m in out:
         prod = prod * g ** m
-    assert prod == r, "factorization does not multiply back"
+    if prod != r:
+        raise SplitSelfCheckError("factorization does not multiply back")
     return out
 
 
@@ -349,18 +356,6 @@ def _divisors(n):
     return sorted(out)
 
 
-def _mat_pow(M, e, spec):
-    from .fields import mat_identity, mat_mul
-    result = mat_identity(spec, len(M))
-    base = M
-    while e:
-        if e & 1:
-            result = mat_mul(result, base)
-        base = mat_mul(base, base)
-        e >>= 1
-    return result
-
-
 def _monomial_of(rf):
     """(unit, exponent) if rf = unit * s^k with unit in F_q^*; else None.
     Negative exponents are allowed (unit * s^-k)."""
@@ -409,7 +404,8 @@ def classify_factor(g, cap=512):
     cands = [n for n in cands if n <= cap]
     C = companion_matrix(g)
     for n in cands:
-        hn = CenterPoly(spec, char_poly(_mat_pow(C, n, spec)))
+        Cn = power(C, n, lambda: mat_identity(spec, len(C)), mat_mul)
+        hn = CenterPoly(spec, char_poly(Cn))
         m0 = _monomial_of(hn.coeff(0))
         if m0 is None:
             continue
@@ -445,15 +441,18 @@ def _col_rank(spec, vecs, n):
     return gauss_eliminate(_col_matrix(spec, vecs, n))[0]
 
 
-def jordan_form_central(A0):
+def jordan_form_central(A0, mp=None):
     """Jordan form of a SkewMatrix whose minimal polynomial splits into
-    (x - s^k)^e factors over F_p(s).
+    (x - s^k)^e factors over F_p(s).  `mp` is that minimal polynomial
+    when the caller already knows it; it is computed otherwise.
 
-    Returns (Pj, blocks) with Pj invertible, Pj^{-1}*A0*Pj exactly the
-    Jordan matrix, and blocks a list of (exponent k, size) pairs."""
+    Returns (Pj, Pj_inv, blocks) with Pj invertible, Pj^{-1}*A0*Pj
+    exactly the Jordan matrix, and blocks a list of (exponent k, size)
+    pairs."""
     spec = A0.spec
     n = A0.rows
-    mp = min_poly_center(A0)
+    if mp is None:
+        mp = min_poly_center(A0)
     eigen = []
     for gfac, mult in factor_center(mp):
         if gfac.degree != 1:
@@ -502,7 +501,8 @@ def jordan_form_central(A0):
     for k, chain in all_chains:
         blocks.append((k, len(chain)))
         cols.extend(reversed(chain))
-    assert len(cols) == n, "Jordan basis does not span"
+    if len(cols) != n:
+        raise SplitSelfCheckError("Jordan basis does not span")
     Pj = _col_matrix(spec, cols, n)
     Pj_inv = matrix_inverse(Pj)
     return Pj, Pj_inv, blocks
@@ -575,13 +575,6 @@ def _direct_sum_check(P, B, P_inv, A0, A1):
     return lhs == A0.direct_sum(A1)
 
 
-def _monomial_eigen_exponent(cls):
-    """Eigen exponent j for a linear Frobenius factor classified with
-    n = 1 (root is exactly s^j)."""
-    assert cls.is_frobenius() and cls.n == 1
-    return cls.j
-
-
 def split_endomorphism(A, cap=512):
     """Split a dominant endomorphism given as a SkewMatrix (or grid of
     OrePoly) over F_q[F].  Returns SplitData."""
@@ -594,9 +587,11 @@ def split_endomorphism(A, cap=512):
     if mp.constant_term().is_zero():
         raise NonDominantError("minimal polynomial has zero constant term")
     n = 1
+    B, r = A, mp
     for _ in range(8):
-        B = A ** n
-        r = min_poly_center(B)
+        if n > 1:
+            B = A ** n
+            r = min_poly_center(B)
         facs = factor_center(r)
         classes = [classify_factor(g, cap=cap) for g, _ in facs]
         for cls in classes:
@@ -634,31 +629,35 @@ def split_endomorphism(A, cap=512):
         N0 = 0
     else:
         one, u0, u1 = r0.xgcd(r1)
-        assert one.is_one(), "r0, r1 are not coprime"
+        if not one.is_one():
+            raise SplitSelfCheckError("r0, r1 are not coprime")
         E0 = (u1 * r1).evaluate_matrix(B)
         E1 = (u0 * r0).evaluate_matrix(B)
         cols0 = [ [E0.entries[i][j] for i in range(N)]
                   for j in column_space_basis(E0) ]
         cols1 = [ [E1.entries[i][j] for i in range(N)]
                   for j in column_space_basis(E1) ]
-        assert len(cols0) + len(cols1) == N, "idempotent images do not span"
+        if len(cols0) + len(cols1) != N:
+            raise SplitSelfCheckError("idempotent images do not span")
         Q = _col_matrix(spec, cols0 + cols1, N)
         Q_inv = matrix_inverse(Q)
         C = Q_inv * B * Q
         N0 = len(cols0)
         A0_pre = C.submatrix(0, N0, 0, N0)
         A1_pre = C.submatrix(N0, N, N0, N)
-        assert C.submatrix(0, N0, N0, N).is_zero()
-        assert C.submatrix(N0, N, 0, N0).is_zero()
-    # Jordanize the Frobenius part, then power up to pure diagonal
+        if not (C.submatrix(0, N0, N0, N).is_zero()
+                and C.submatrix(N0, N, 0, N0).is_zero()):
+            raise SplitSelfCheckError("off-diagonal blocks are not zero")
+    # Jordanize the Frobenius part, then power up to pure diagonal; B
+    # restricted to ker r0(B) has minimal polynomial r0
     if N0 > 0:
-        Pj, Pj_inv, jblocks = jordan_form_central(A0_pre)
+        Pj, Pj_inv, jblocks = jordan_form_central(A0_pre, mp=r0)
     else:
         Pj = Pj_inv = SkewMatrix.zero(spec, 0, 0)
         jblocks = []
     a, merged = power_up(p, jblocks)
     n_final = n * p ** a
-    B_final = B ** (p ** a)
+    B_final = B ** (p ** a)  # B itself when a = 0
     # conjugation: P = (Pj (+) I)^{-1} * Q^{-1}
     if N0 > 0 and A1_pre.rows > 0:
         Pj_full = Pj.direct_sum(SkewMatrix.identity(spec, A1_pre.rows))
@@ -679,16 +678,26 @@ def split_endomorphism(A, cap=512):
                                 if i == j else SkewElem.zero(spec)
                                 for j in range(N0)] for i in range(N0)])
     A1 = A1_pre ** (p ** a) if A1_pre.rows else A1_pre
-    assert _direct_sum_check(P, B_final, P_inv, A0, A1), \
-        "block-diagonal identity failed"
+    if not _direct_sum_check(P, B_final, P_inv, A0, A1):
+        raise SplitSelfCheckError("block-diagonal identity failed")
     # minimal polynomial bookkeeping for the powered map
     r0_final = CenterPoly.one(spec)
     for k, _ in merged:
         r0_final = r0_final * CenterPoly.x_minus(
             RatFun(CPoly.monomial(spec, spec.one(), k), _canonical=True))
-    r1_final = min_poly_center(A1) if A1.rows else CenterPoly.one(spec)
-    assert r0_final.gcd(r1_final).is_one()
-    assert min_poly_center(B_final) == r0_final * r1_final
+    if not A1.rows:
+        r1_final = CenterPoly.one(spec)
+    elif N0 == 0:
+        r1_final = r  # no Frobenius part: A1 is B itself
+    else:
+        r1_final = min_poly_center(A1)
+    if not r0_final.gcd(r1_final).is_one():
+        raise SplitSelfCheckError("r0 and r1 of the powered map share a "
+                                  "factor")
+    r_final = r if a == 0 else min_poly_center(B_final)
+    if r_final != r0_final * r1_final:
+        raise SplitSelfCheckError("minimal polynomial of the powered map "
+                                  "is not r0*r1")
     # central denominator clearing element h
     h = CPoly.one(spec)
 
@@ -702,10 +711,12 @@ def split_endomorphism(A, cap=512):
     absorb(P)
     absorb(P_inv)
     if A1.rows:
-        power = SkewMatrix.identity(spec, A1.rows)
+        A1_k = SkewMatrix.identity(spec, A1.rows)
         for _ in range(max(r1_final.degree, 1)):
-            absorb(power)
-            power = power * A1
-    assert h.in_prime_field() and not h.is_zero()
+            absorb(A1_k)
+            A1_k = A1_k * A1
+    if not h.in_prime_field() or h.is_zero():
+        raise SplitSelfCheckError("clearing element h is not a nonzero "
+                                  "element of F_p[s]")
     return SplitData(spec, n_final, P, P_inv, merged, A0, A1, h,
                      r0_final, r1_final, a, classes)

@@ -305,3 +305,54 @@ def test_classify_under_optimize_flag_writes_same_certificate(tmp_path):
         assert "verdict = C" in done.stdout
         certs.append(cert.read_bytes())
     assert certs[0] == certs[1]
+
+
+FSET_K0 = ("[field]\np = 2\nell = 1\n\n[fset]\ngamma0 = 0\ngamma_1 = t1\n"
+           "k_1 = 0\n")
+LAMBDA_R4 = LAMBDA.replace("c = 1 ; 1", "c = 1 ; 1 ; 1 ; 1 ; 1")
+
+
+def test_fset_zero_period_is_error_exit_1(tmp_path, capsys):
+    prob = tmp_path / "p.txt"
+    prob.write_text(FSET_K0)
+    assert main(["tools", "fset", str(prob)]) == 1
+    assert capsys.readouterr().err == "error: periods k_i must be >= 1\n"
+    prob.write_text(FSET_K0.replace("k_1 = 0", "k_1 = 1\nmodule_bound = -1"))
+    assert main(["tools", "fset", str(prob)]) == 1
+    assert capsys.readouterr().err == "error: module_bound must be >= 0\n"
+    prob.write_text(FSET_K0.replace("k_1 = 0", "k_1 = 1"))
+    assert main(["tools", "fset", str(prob), "--M", "0"]) == 1
+    assert capsys.readouterr().err == \
+        "error: exponent bound b must be >= 1\n"
+
+
+def test_lambda_with_four_terms_is_bound_exit_2(tmp_path, capsys):
+    prob = tmp_path / "p.txt"
+    prob.write_text(LAMBDA_R4)
+    assert main(["tools", "lambda-density", str(prob), "--M", "4"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: bound exhausted: lambda equation with "
+                          "r = 4 terms") and err.count("\n") == 1
+
+
+def test_input_checks_fire_under_optimize_flag(tmp_path):
+    import os
+    import subprocess
+    import sys
+    import frobsplit
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(
+        frobsplit.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    for text, tool, code in ((FSET_K0, "fset", 1),
+                             (LAMBDA_R4, "lambda-density", 2)):
+        prob = tmp_path / ("%s.txt" % tool)
+        prob.write_text(text)
+        done = subprocess.run([sys.executable, "-O", "-m", "frobsplit.cli",
+                               "tools", tool, str(prob), "--M", "4"],
+                              env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert done.returncode == code, done.stderr
+        assert done.stderr.startswith("error: ")
+        assert done.stderr.count("\n") == 1

@@ -7,7 +7,7 @@ import pytest
 
 from frobsplit.fields import (CPoly, FieldSpec, RatFun, char_poly,
                               determinant, kernel_basis, lift_cpoly,
-                              mat_identity, mat_mul, matrix_rank,
+                              mat_identity, mat_mul, matrix_rank, power,
                               prime_coords, smallest_irreducible,
                               solve_linear)
 
@@ -161,3 +161,22 @@ def test_lift_cpoly():
     g = lift_cpoly(f, F4)
     assert g.spec == F4 and g.degree == 1
     assert g.evaluate(F4.one()).is_zero()
+
+
+def test_power_costs_no_identity_product_or_spare_square():
+    products = []
+
+    def mul(a, b):
+        products.append((a, b))
+        return a * b
+
+    for e in range(40):
+        del products[:]
+        assert power(3, e, lambda: 1, mul) == 3 ** e
+        expected = 0 if e == 0 else (e.bit_length() - 1
+                                     + bin(e).count("1") - 1)
+        assert len(products) == expected
+    f = CPoly.from_ints(F9, [1, 2, 1])
+    assert f ** 5 == f * f * f * f * f and f ** 0 == CPoly.one(F9)
+    with pytest.raises(ValueError):
+        power(f, -1, lambda: CPoly.one(F9))
