@@ -11,11 +11,11 @@ holds and produce a certificate.
 
 import random
 
-from .fields import FieldSpec, RatFun, power
+from .fields import FieldSpec, RatFun, power, rref, rref_kernel
 from .fqfactor import embedding, monic_irreducibles
 from .mrat import MPoly, MRatFun, fp_kernel, linearize_fractions
 from .ore import OrePoly
-from .skew import SkewMatrix, gauss_eliminate
+from .skew import SkewMatrix
 from .split import split_endomorphism
 
 
@@ -230,7 +230,8 @@ def verify_certificate(A, cert):
         rhs = [[F * e for e in row] for row in T]
         if lhs != rhs:
             return False, "identity fails"
-        rank = gauss_eliminate(SkewMatrix.from_ore(spec, T))[0]
+        M = SkewMatrix.from_ore(spec, T)
+        rank = len(rref(M.entries, M.cols)[1])
         if rank < len(T):
             return False, "T does not have full row rank"
         return True, "T*A^%d = F^%d*T, full row rank %d" % (cert.m, cert.r,
@@ -386,46 +387,6 @@ def _monomials(nvars, D):
     return sorted(rec([], nvars, D), key=lambda t: (sum(t), t))
 
 
-def _fq_rref(rows, spec):
-    """(rank, kernel basis) of a matrix over F_q."""
-    rows = [list(r) for r in rows]
-    if not rows:
-        return 0, []
-    ncols = len(rows[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = None
-        for i in range(r, len(rows)):
-            if not rows[i][c].is_zero():
-                pr = i
-                break
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        inv = rows[r][c].inverse()
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and not rows[i][c].is_zero():
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append((r, c))
-        r += 1
-        if r == len(rows):
-            break
-    pivot_cols = {c for _, c in pivots}
-    basis = []
-    for fc in range(ncols):
-        if fc in pivot_cols:
-            continue
-        v = [spec.zero()] * ncols
-        v[fc] = spec.one()
-        for rr, cc in pivots:
-            v[cc] = -rows[rr][fc]
-        basis.append(v)
-    return len(pivots), basis
-
-
 def _specialization_field(spec):
     """Extension of the coefficient field with at least 2^20 elements."""
     k = spec.ell
@@ -442,51 +403,13 @@ def density_check(points, D, seed=0, trials=3):
     on all points (exact: a vanishing polynomial would force a singular
     specialization).  A rank-deficient kernel vector is only reported
     after exact symbolic re-verification."""
-    assert points and D >= 1
-    spec = points[0][0].spec
-    nvars = points[0][0].nvars
-    N = len(points[0])
-    mons = _monomials(N, D)
-    big = _specialization_field(spec)
-    emb = embedding(spec, big)
-    rng = random.Random(seed)
-    ranks = []
-    kernel_candidates = []
-    for trial in range(trials):
-        rows = []
-        ok = True
-        for attempt in range(64):
-            values = [big.random_element(rng) for _ in range(nvars)]
-            try:
-                coords = [[c.evaluate(values, emb) for c in pt]
-                          for pt in points]
-            except ZeroDivisionError:
-                continue
-            break
-        else:
-            ok = False
-        if not ok:
-            ranks.append(-1)
-            continue
-        for coord in coords:
-            rows.append([_eval_monomial(coord, m, big) for m in mons])
-        rank, kern = _fq_rref(rows, big)
-        ranks.append(rank)
-        if rank == len(mons):
-            return DensityReport(len(points), D, "dense-up-to-D",
-                                 trials=trial + 1, field_size=big.q,
-                                 ranks=ranks)
-        kernel_candidates.extend(kern)
-    # rank deficient in every trial: try to certify a vanishing polynomial
-    emb_pts = [[_mrat_embed(c, big) for c in pt] for pt in points]
-    for vec in kernel_candidates:
-        if _vanishes_symbolically(emb_pts, mons, vec, big):
-            poly = [(m, c) for m, c in zip(mons, vec) if not c.is_zero()]
-            return DensityReport(len(points), D, "vanishing-polynomial",
-                                 polynomial=poly, trials=trials,
-                                 field_size=big.q, ranks=ranks)
-    return DensityReport(len(points), D, "dense-up-to-D", trials=trials,
-                         field_size=big.q, ranks=ranks)
+    if not points:
+        raise ValueError("density check of an empty point set")
+
+    def specialize(values, emb):
+        return [[c.evaluate(values, emb) for c in pt] for pt in points]
+    return _density(points[0][0], len(points[0]), len(points), D, specialize,
+                    lambda: points, seed, trials)
 
 
 def density_check_orbit(A, alpha, M, D, seed=0, trials=3):
@@ -495,38 +418,51 @@ def density_check_orbit(A, alpha, M, D, seed=0, trials=3):
     specialization; this avoids the symbolic orbit, whose coordinates can
     grow exponentially in term count.  The symbolic orbit is only built
     if a candidate vanishing polynomial must be re-verified."""
-    assert M >= 1 and D >= 1
-    spec = alpha[0].spec
-    nvars = alpha[0].nvars
-    mons = _monomials(A.N, D)
-    big = _specialization_field(spec)
-    emb = embedding(spec, big)
+    def specialize(values, emb):
+        pts = [[c.evaluate(values, emb) for c in alpha]]
+        for _ in range(M - 1):
+            pts.append(A.apply(pts[-1]))
+        return pts
+    return _density(alpha[0], A.N, M, D, specialize,
+                    lambda: orbit(A, alpha, M), seed, trials)
+
+
+def _density(coord, N, M, D, specialize, symbolic_points, seed, trials):
+    """The density check of M points in N coordinates over F_q(t_1..):
+    `coord` is one coordinate (for the field and the variable count),
+    `specialize(values, emb)` gives the points at one random assignment
+    of the variables in the specialization field (ZeroDivisionError at a
+    pole, and then another assignment is drawn), and `symbolic_points()`
+    the exact points, built only when a kernel vector must be verified."""
+    if M < 1 or D < 1:
+        raise ValueError("density check needs M >= 1 and D >= 1")
+    mons = _monomials(N, D)
+    big = _specialization_field(coord.spec)
+    emb = embedding(coord.spec, big)
     rng = random.Random(seed)
     ranks = []
     kernel_candidates = []
     for trial in range(trials):
         for attempt in range(64):
-            values = [big.random_element(rng) for _ in range(nvars)]
+            values = [big.random_element(rng) for _ in range(coord.nvars)]
             try:
-                coords = [c.evaluate(values, emb) for c in alpha]
+                pts = specialize(values, emb)
             except ZeroDivisionError:
                 continue
             break
         else:
             ranks.append(-1)
             continue
-        pts = [coords]
-        for _ in range(M - 1):
-            pts.append(A.apply(pts[-1]))
-        rows = [[_eval_monomial(pt, m, big) for m in mons] for pt in pts]
-        rank, kern = _fq_rref(rows, big)
-        ranks.append(rank)
-        if rank == len(mons):
+        rows, pivots = rref([[_eval_monomial(pt, m, big) for m in mons]
+                             for pt in pts], len(mons))
+        ranks.append(len(pivots))
+        if len(pivots) == len(mons):
             return DensityReport(M, D, "dense-up-to-D", trials=trial + 1,
                                  field_size=big.q, ranks=ranks)
-        kernel_candidates.extend(kern)
-    emb_pts = [[_mrat_embed(c, big) for c in pt]
-               for pt in orbit(A, alpha, M)]
+        kernel_candidates.extend(rref_kernel(rows, pivots, len(mons),
+                                             big.zero(), big.one()))
+    # rank deficient in every trial: try to certify a vanishing polynomial
+    emb_pts = [[_mrat_embed(c, big) for c in pt] for pt in symbolic_points()]
     for vec in kernel_candidates:
         if _vanishes_symbolically(emb_pts, mons, vec, big):
             poly = [(m, c) for m, c in zip(mons, vec) if not c.is_zero()]

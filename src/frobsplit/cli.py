@@ -608,11 +608,13 @@ def cmd_tools(args, out):
         return 0
     if sub == "lambda-density":
         inst = problem_lambda_instance(problem)
+        from .fsets import solve_lambda_eq
+        # solve before printing, so that a rejected instance (CapacityError
+        # for r > 3) leaves nothing on stdout
+        sweep = [solve_lambda_eq(inst, m) for m in range(1, args.M + 1)]
         print("m,solvable,tuple", file=out)
         S = []
-        from .fsets import solve_lambda_eq
-        for m in range(1, args.M + 1):
-            sols = solve_lambda_eq(inst, m)
+        for m, sols in enumerate(sweep, 1):
             if sols:
                 S.append(m)
             print("%d,%d,%s" % (m, 1 if sols else 0,

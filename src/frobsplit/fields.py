@@ -1,6 +1,7 @@
 """Exact arithmetic foundations: prime fields, extension fields F_{p^ell},
-univariate polynomials and rational functions over them, and fraction-free
-linear algebra over the rational function field.
+univariate polynomials and rational functions over them, row reduction
+over any division ring, and fraction-free linear algebra over the rational
+function field.
 
 All values are immutable; every operation is a pure function.
 
@@ -79,14 +80,8 @@ def _fp_mod(a, m, p):
 
 
 def _fp_powmod(a, e, m, p):
-    result = (1,)
-    base = _fp_mod(a, m, p)
-    while e:
-        if e & 1:
-            result = _fp_mulmod(result, base, m, p)
-        base = _fp_mulmod(base, base, m, p)
-        e >>= 1
-    return result
+    return power(_fp_mod(a, m, p), e, lambda: (1,),
+                 lambda x, y: _fp_mulmod(x, y, m, p))
 
 
 def _fp_gcd(a, b, p):
@@ -440,16 +435,24 @@ def _elem(spec, packed):
 
 
 # ---------------------------------------------------------------------------
-# univariate polynomials over F_q (variable conventionally called s)
+# univariate polynomials over a field (F_q here, F_q(s) in skew.CenterPoly)
 
 class CPoly:
-    """Polynomial over F_q in the central variable s.
+    """Dense univariate polynomial, lowest degree first: over F_q in the
+    central variable s here, and over F_q(s) in x as skew.CenterPoly.
 
-    The zero polynomial has degree -1 (sentinel).  Trailing zero
-    coefficients are stripped on construction.
+    The arithmetic is written once, here, and builds its results with
+    type(self).  A subclass changes the coefficient field only through
+    the hook `_coeff_zero`, `_coeff_one` and `_coeff_from_int`, each
+    called with the FieldSpec.  The zero polynomial has degree -1
+    (sentinel).  Trailing zero coefficients are stripped on construction.
     """
 
     __slots__ = ("spec", "coeffs")
+
+    _coeff_zero = staticmethod(FieldSpec.zero)
+    _coeff_one = staticmethod(FieldSpec.one)
+    _coeff_from_int = staticmethod(FieldSpec.from_int)
 
     def __init__(self, spec, coeffs):
         coeffs = list(coeffs)
@@ -464,7 +467,7 @@ class CPoly:
 
     @classmethod
     def one(cls, spec):
-        return cls(spec, (spec.one(),))
+        return cls(spec, (cls._coeff_one(spec),))
 
     @classmethod
     def s(cls, spec):
@@ -500,7 +503,7 @@ class CPoly:
     def coeff(self, i):
         if i < len(self.coeffs):
             return self.coeffs[i]
-        return self.spec.zero()
+        return self._coeff_zero(self.spec)
 
     def __add__(self, other):
         a, b = self.coeffs, other.coeffs
@@ -509,46 +512,49 @@ class CPoly:
         out = list(a)
         for i, c in enumerate(b):
             out[i] = out[i] + c
-        return CPoly(self.spec, out)
+        return type(self)(self.spec, out)
 
     def __sub__(self, other):
         n = max(len(self.coeffs), len(other.coeffs))
-        z = self.spec.zero()
+        z = self._coeff_zero(self.spec)
         out = [(self.coeffs[i] if i < len(self.coeffs) else z)
                - (other.coeffs[i] if i < len(other.coeffs) else z)
                for i in range(n)]
-        return CPoly(self.spec, out)
+        return type(self)(self.spec, out)
 
     def __neg__(self):
-        return CPoly(self.spec, tuple(-c for c in self.coeffs))
+        return type(self)(self.spec, tuple(-c for c in self.coeffs))
 
     def __mul__(self, other):
-        if isinstance(other, FqElem):
-            return CPoly(self.spec, tuple(c * other for c in self.coeffs))
+        """Product; `other` is a polynomial of the same class or, if it is
+        not a CPoly, a coefficient scalar."""
+        cls = type(self)
+        if not isinstance(other, CPoly):
+            return cls(self.spec, tuple(c * other for c in self.coeffs))
         if self.is_zero() or other.is_zero():
-            return CPoly.zero(self.spec)
-        z = self.spec.zero()
+            return cls.zero(self.spec)
+        z = self._coeff_zero(self.spec)
         out = [z] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, x in enumerate(self.coeffs):
             if x.is_zero():
                 continue
             for j, y in enumerate(other.coeffs):
                 out[i + j] = out[i + j] + x * y
-        return CPoly(self.spec, out)
+        return cls(self.spec, out)
 
     def __pow__(self, e):
-        return power(self, e, lambda: CPoly.one(self.spec))
+        return power(self, e, lambda: type(self).one(self.spec))
 
     def divmod(self, other):
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
+        cls = type(self)
         if self.degree < other.degree:
-            return CPoly.zero(self.spec), self
+            return cls.zero(self.spec), self
         rem = list(self.coeffs)
         dlc = other.leading().inverse()
         dd = other.degree
-        z = self.spec.zero()
-        quot = [z] * (len(rem) - dd)
+        quot = [self._coeff_zero(self.spec)] * (len(rem) - dd)
         for k in range(len(rem) - 1, dd - 1, -1):
             c = rem[k]
             if c.is_zero():
@@ -557,7 +563,7 @@ class CPoly:
             quot[k - dd] = q
             for i in range(dd + 1):
                 rem[k - dd + i] = rem[k - dd + i] - q * other.coeffs[i]
-        return CPoly(self.spec, quot), CPoly(self.spec, rem)
+        return cls(self.spec, quot), cls(self.spec, rem)
 
     def __floordiv__(self, other):
         return self.divmod(other)[0]
@@ -585,10 +591,10 @@ class CPoly:
 
     def xgcd(self, other):
         """(g, u, v) with u*self + v*other = g, g the monic gcd."""
-        spec = self.spec
+        cls, spec = type(self), self.spec
         a, b = self, other
-        ua, va = CPoly.one(spec), CPoly.zero(spec)
-        ub, vb = CPoly.zero(spec), CPoly.one(spec)
+        ua, va = cls.one(spec), cls.zero(spec)
+        ub, vb = cls.zero(spec), cls.one(spec)
         while not b.is_zero():
             q, r = a.divmod(b)
             a, b = b, r
@@ -601,15 +607,15 @@ class CPoly:
 
     def lcm(self, other):
         if self.is_zero() or other.is_zero():
-            return CPoly.zero(self.spec)
+            return type(self).zero(self.spec)
         return (self * other).exact_div(self.gcd(other)).monic()
 
     def derivative(self):
         spec = self.spec
         out = []
         for i in range(1, len(self.coeffs)):
-            out.append(self.coeffs[i] * spec.from_int(i))
-        return CPoly(spec, out)
+            out.append(self.coeffs[i] * self._coeff_from_int(spec, i))
+        return type(self)(spec, out)
 
     def evaluate(self, x):
         """Horner evaluation at x (an FqElem of any compatible field)."""
@@ -619,7 +625,7 @@ class CPoly:
         return acc
 
     def map_coeffs(self, fn):
-        return CPoly(self.spec, tuple(fn(c) for c in self.coeffs))
+        return type(self)(self.spec, tuple(fn(c) for c in self.coeffs))
 
     def frobenius(self, i=1):
         return self.map_coeffs(lambda c: c.frobenius(i))
@@ -644,7 +650,7 @@ class CPoly:
         return res
 
     def __eq__(self, other):
-        return (isinstance(other, CPoly) and self.spec == other.spec
+        return (type(other) is type(self) and self.spec == other.spec
                 and self.coeffs == other.coeffs)
 
     def __hash__(self):
@@ -821,6 +827,63 @@ def prime_coords(rf):
         comp = CPoly(spec, tuple(spec.from_int(c.coeffs[k]) for c in num2.coeffs))
         out.append(RatFun(comp, den2))
     return out
+
+
+# ---------------------------------------------------------------------------
+# row reduction over a field or a division ring
+
+def rref(rows, ncols):
+    """Reduced row echelon form by Gauss-Jordan elimination over any
+    division ring (F_q, F_q(s), the skew field K of skew.py).
+
+    Pivots are searched for only in the first `ncols` columns; columns
+    after them (an identity block, a right-hand side) follow the row
+    operations.  A pivot row is scaled by left multiplication with the
+    inverse of its pivot, and f times it is subtracted from each other
+    row, f that row's entry in the pivot column.  Returns (rows, pivots):
+    the reduced rows as new lists, and pivots[i] the pivot column of row
+    i, so the rank is len(pivots)."""
+    rows = [list(r) for r in rows]
+    n = len(rows)
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        if r == n:
+            break
+        pr = next((i for i in range(r, n) if not rows[i][c].is_zero()), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        inv = rows[r][c].inverse()
+        prow = rows[r] = [inv * x for x in rows[r]]
+        # only the nonzero entries of the pivot row change the other rows
+        # (reduced rows are sparse: zero at every earlier pivot column)
+        nonzero = [(j, y) for j, y in enumerate(prow) if not y.is_zero()]
+        for i in range(n):
+            row = rows[i]
+            f = row[c]
+            if i != r and not f.is_zero():
+                for j, y in nonzero:
+                    row[j] = row[j] - f * y
+        pivots.append(c)
+    return rows, pivots
+
+
+def rref_kernel(rows, pivots, ncols, zero, one):
+    """Basis of the right kernel of the first `ncols` columns, read off
+    the output (rows, pivots) of `rref`: for each free column fc, the
+    vector with 1 at fc and -R[i][fc] at pivots[i].  This is exact
+    because every pivot column is cleared in all other rows."""
+    basis = []
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
+        v = [zero] * ncols
+        v[fc] = one
+        for i, pc in enumerate(pivots):
+            v[pc] = -rows[i][fc]
+        basis.append(v)
+    return basis
 
 
 # ---------------------------------------------------------------------------

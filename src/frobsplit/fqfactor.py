@@ -6,18 +6,12 @@ Randomized steps are seeded from the input so results are deterministic.
 
 import random
 
-from .fields import CPoly, FieldSpec, lift_cpoly
+from .fields import CPoly, FieldSpec, lift_cpoly, power
 
 
 def powmod(base, e, mod):
-    result = CPoly.one(base.spec)
-    base = base % mod
-    while e:
-        if e & 1:
-            result = (result * base) % mod
-        base = (base * base) % mod
-        e >>= 1
-    return result
+    return power(base % mod, e, lambda: CPoly.one(base.spec),
+                 lambda x, y: (x * y) % mod)
 
 
 def pth_root(f):

@@ -11,6 +11,7 @@ independent.
 
 import itertools
 
+from .fields import rref
 from .mrat import MPoly, MRatFun, fp_kernel, linearize_fractions
 from .split import CapacityError
 
@@ -300,21 +301,4 @@ def vandermonde_check(lambdas, N, r):
             if lambdas[i] == lambdas[j]:
                 raise ValueError("lambdas must be pairwise distinct")
     rows = [[x ** n for x in lambdas] for n in range(N, N + r)]
-    rank = 0
-    for c in range(r):
-        piv = None
-        for i in range(rank, r):
-            if not rows[i][c].is_zero():
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = rows[rank][c].inverse()
-        rows[rank] = [v * inv for v in rows[rank]]
-        for i in range(r):
-            if i != rank and not rows[i][c].is_zero():
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
-        rank += 1
-    return rank == r
+    return len(rref(rows, r)[1]) == r

@@ -8,7 +8,7 @@ graded-lexicographic order is 1.  Equality of fractions is decided by
 cross multiplication (no multivariate gcd, by design).
 """
 
-from .fields import FqElem, lift_element
+from .fields import FieldSpec, FqElem, lift_element, rref, rref_kernel
 
 
 def _grlex_key(exps):
@@ -273,43 +273,15 @@ class MRatFun:
 # F_p-linear algebra helpers over the monomials of MRatFun collections
 
 def fp_kernel(matrix, p):
-    """Kernel basis of an integer matrix mod p (rows x cols)."""
+    """Kernel basis of an integer matrix mod p (rows x cols), as lists of
+    ints in [0, p)."""
     if not matrix:
         return []
-    rows = [list(r) for r in matrix]
-    ncols = len(rows[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = None
-        for i in range(r, len(rows)):
-            if rows[i][c] % p:
-                pr = i
-                break
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        inv = pow(rows[r][c], p - 2, p)
-        rows[r] = [(x * inv) % p for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] % p:
-                f = rows[i][c]
-                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[r])]
-        pivots.append((r, c))
-        r += 1
-        if r == len(rows):
-            break
-    pivot_cols = {c for (_, c) in pivots}
-    basis = []
-    for fc in range(ncols):
-        if fc in pivot_cols:
-            continue
-        v = [0] * ncols
-        v[fc] = 1
-        for (rr, cc) in pivots:
-            v[cc] = (-rows[rr][fc]) % p
-        basis.append(v)
-    return basis
+    fp = FieldSpec.get(p, 1)
+    ncols = len(matrix[0])
+    rows, pivots = rref([[fp.from_int(x) for x in r] for r in matrix], ncols)
+    return [[c.coeffs[0] for c in v]
+            for v in rref_kernel(rows, pivots, ncols, fp.zero(), fp.one())]
 
 
 def linearize_fractions(funcs):

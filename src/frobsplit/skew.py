@@ -4,12 +4,18 @@ into M_{n*ell}(F_q(F^ell)), minimal polynomials over the center, and
 constructive inversion via central multipliers.
 """
 
-from .fields import CPoly, RatFun, char_poly, power, prime_coords, solve_linear
+from .fields import (CPoly, RatFun, char_poly, power, prime_coords, rref,
+                     rref_kernel, solve_linear)
 from .ore import OrePoly
 
 
 class SingularMatrixError(ValueError):
     pass
+
+
+class SplitSelfCheckError(RuntimeError):
+    """An exact identity that a correct split satisfies by construction
+    failed (an engine fault, not bad input)."""
 
 
 class SkewElem:
@@ -24,7 +30,8 @@ class SkewElem:
     def __init__(self, spec, parts):
         self.spec = spec
         self.parts = tuple(parts)
-        assert len(self.parts) == spec.ell
+        if len(self.parts) != spec.ell:
+            raise ValueError("a SkewElem has ell = %d parts" % spec.ell)
 
     @classmethod
     def zero(cls, spec):
@@ -153,7 +160,8 @@ class SkewMatrix:
         self.entries = tuple(tuple(row) for row in entries)
         self.rows = len(self.entries)
         self.cols = len(self.entries[0]) if self.entries else 0
-        assert all(len(r) == self.cols for r in self.entries)
+        if any(len(r) != self.cols for r in self.entries):
+            raise ValueError("rows of a SkewMatrix differ in length")
 
     @classmethod
     def identity(cls, spec, n):
@@ -193,7 +201,9 @@ class SkewMatrix:
         if isinstance(other, SkewElem):
             return SkewMatrix(self.spec, [[a * other for a in row]
                                           for row in self.entries])
-        assert self.cols == other.rows
+        if self.cols != other.rows:
+            raise ValueError("%d x %d times %d x %d matrix" % (
+                self.rows, self.cols, other.rows, other.cols))
         z = SkewElem.zero(self.spec)
         out = []
         for i in range(self.rows):
@@ -217,7 +227,8 @@ class SkewMatrix:
                                       for row in self.entries])
 
     def __pow__(self, e):
-        assert self.rows == self.cols
+        if self.rows != self.cols:
+            raise ValueError("power of a non-square matrix")
         return power(self, e,
                      lambda: SkewMatrix.identity(self.spec, self.rows))
 
@@ -262,7 +273,8 @@ def tilde(A):
     over RatFun, organized in ell x ell blocks of n x n."""
     spec = A.spec
     n = A.rows
-    assert A.cols == n
+    if A.cols != n:
+        raise ValueError("tilde of a non-square matrix")
     ell = spec.ell
     N = n * ell
     out = [[RatFun.zero(spec) for _ in range(N)] for _ in range(N)]
@@ -297,7 +309,8 @@ def central_multiplier(P):
     rhs = [RatFun.one(spec)] + [RatFun.zero(spec)] * (ell - 1)
     y = solve_linear(transposed, rhs)
     if y is None:
-        raise AssertionError("tilde of a nonzero Ore polynomial is invertible")
+        raise SplitSelfCheckError("tilde of a nonzero Ore polynomial is "
+                                  "not invertible")
     den = CPoly.one(spec)
     for v in y:
         if not v.den.is_one():
@@ -307,14 +320,17 @@ def central_multiplier(P):
     # Q * P = d(F^ell) with d in F_q[s]; clear to the prime field by the
     # norm: (prod_{j>=1} phi^j(d)) * d lies in F_p[s].
     d_parts = (Q * P).center_decompose()
-    assert all(a.is_zero() for a in d_parts[1:])
+    if not all(a.is_zero() for a in d_parts[1:]):
+        raise SplitSelfCheckError("Q * P is not central")
     d = d_parts[0]
     cof = CPoly.one(spec)
     for j in range(1, ell):
         cof = cof * d.frobenius(j)
     Q = OrePoly.from_parts(spec, [cof] + [CPoly.zero(spec)] * (ell - 1)) * Q
     c = cof * d
-    assert c.in_prime_field() and not c.is_zero()
+    if not c.in_prime_field() or c.is_zero():
+        raise SplitSelfCheckError("central multiplier is not a nonzero "
+                                  "element of F_p[s]")
     return Q, c
 
 
@@ -325,44 +341,19 @@ def gauss_eliminate(M):
     """Row reduce a SkewMatrix over K.
 
     Returns (rank, R, T) with T * M = R, T invertible, R in reduced row
-    echelon form (pivots 1, pivot columns cleared)."""
-    spec = M.spec
-    rows = [list(r) for r in M.entries]
-    n, m = M.rows, M.cols
-    T = [list(r) for r in SkewMatrix.identity(spec, n).entries]
-    piv = 0
-    pivots = []
-    for c in range(m):
-        pr = None
-        for i in range(piv, n):
-            if not rows[i][c].is_zero():
-                pr = i
-                break
-        if pr is None:
-            continue
-        rows[piv], rows[pr] = rows[pr], rows[piv]
-        T[piv], T[pr] = T[pr], T[piv]
-        inv = rows[piv][c].inverse()
-        rows[piv] = [inv * e for e in rows[piv]]
-        T[piv] = [inv * e for e in T[piv]]
-        for i in range(n):
-            if i == piv:
-                continue
-            f = rows[i][c]
-            if f.is_zero():
-                continue
-            rows[i] = [a - f * b for a, b in zip(rows[i], rows[piv])]
-            T[i] = [a - f * b for a, b in zip(T[i], T[piv])]
-        pivots.append((piv, c))
-        piv += 1
-        if piv == n:
-            break
-    return piv, SkewMatrix(spec, rows), SkewMatrix(spec, T)
+    echelon form (pivots 1, pivot columns cleared); T is read off the
+    reduction of [M | I]."""
+    spec, m = M.spec, M.cols
+    eye = SkewMatrix.identity(spec, M.rows).entries
+    rows, pivots = rref([r + e for r, e in zip(M.entries, eye)], m)
+    return (len(pivots), SkewMatrix(spec, [r[:m] for r in rows]),
+            SkewMatrix(spec, [r[m:] for r in rows]))
 
 
 def matrix_inverse(M):
     """Exact inverse of a square SkewMatrix; raises SingularMatrixError."""
-    assert M.rows == M.cols
+    if M.rows != M.cols:
+        raise ValueError("inverse of a non-square matrix")
     rank, R, T = gauss_eliminate(M)
     if rank < M.rows:
         raise SingularMatrixError("matrix is singular over K")
@@ -371,40 +362,24 @@ def matrix_inverse(M):
 
 
 def column_space_basis(M):
-    """Indices and columns of a maximal right-linearly-independent set of
-    columns of M (column space with right scalar multiplication)."""
-    rank, R, _ = gauss_eliminate(M)
-    # pivot columns of the echelon form index independent columns of M
-    pivot_cols = []
-    for i in range(rank):
-        for j in range(M.cols):
-            if not R.entries[i][j].is_zero():
-                pivot_cols.append(j)
-                break
-    return pivot_cols
+    """Indices of a maximal right-linearly-independent set of columns of
+    M (column space with right scalar multiplication): the pivot columns
+    of its echelon form."""
+    return rref(M.entries, M.cols)[1]
 
 
 def solve_right(M, b):
     """Solve M x = b (b a list of SkewElem column entries) over K, or None."""
     spec = M.spec
-    aug = SkewMatrix(spec, [list(row) + [bv]
-                            for row, bv in zip(M.entries, b)])
-    rank, R, _ = gauss_eliminate(aug)
     n, m = M.rows, M.cols
+    R, pivots = rref([list(row) + [bv] for row, bv in zip(M.entries, b)],
+                     m + 1)
+    if m in pivots:
+        return None  # inconsistent
+    # reduced form: row i reads x[pivots[i]] + (free terms) = R[i][m]
     x = [SkewElem.zero(spec)] * m
-    for i in range(rank):
-        # find pivot column
-        pc = None
-        for j in range(m + 1):
-            if not R.entries[i][j].is_zero():
-                pc = j
-                break
-        if pc == m:
-            return None  # inconsistent
-        if pc is None:
-            continue
-        # reduced form: row i reads x[pc] + sum_{j>pc} R[i][j] x[j] = R[i][m]
-        x[pc] = R.entries[i][m]
+    for i, pc in enumerate(pivots):
+        x[pc] = R[i][m]
     # verify (free variables set to zero may not satisfy non-reduced parts;
     # with reduced echelon form they do, but keep the check cheap and exact)
     for i in range(n):
@@ -418,54 +393,24 @@ def solve_right(M, b):
 
 def right_kernel(M):
     """Basis of {v : M v = 0} as columns over K (right kernel)."""
-    spec = M.spec
-    rank, R, _ = gauss_eliminate(M)
-    m = M.cols
-    pivot_cols = []
-    for i in range(rank):
-        for j in range(m):
-            if not R.entries[i][j].is_zero():
-                pivot_cols.append(j)
-                break
-    free = [j for j in range(m) if j not in pivot_cols]
-    basis = []
-    for fc in free:
-        v = [SkewElem.zero(spec)] * m
-        v[fc] = SkewElem.one(spec)
-        for i in reversed(range(rank)):
-            pc = pivot_cols[i]
-            acc = SkewElem.zero(spec)
-            for j in range(pc + 1, m):
-                if not R.entries[i][j].is_zero() and not v[j].is_zero():
-                    acc = acc + R.entries[i][j] * v[j]
-            v[pc] = -acc
-        basis.append(v)
-    return basis
+    R, pivots = rref(M.entries, M.cols)
+    return rref_kernel(R, pivots, M.cols, SkewElem.zero(M.spec),
+                       SkewElem.one(M.spec))
 
 
 # ---------------------------------------------------------------------------
 # polynomials over the center F_p(s)
 
-class CenterPoly:
+class CenterPoly(CPoly):
     """Polynomial in x with coefficients in F_q(s); the public pipeline
-    only produces instances whose coefficients lie in F_p(s)."""
+    only produces instances whose coefficients lie in F_p(s).  All of
+    its arithmetic is CPoly's; this class sets the coefficient field."""
 
-    __slots__ = ("spec", "coeffs")
+    __slots__ = ()
 
-    def __init__(self, spec, coeffs):
-        coeffs = list(coeffs)
-        while coeffs and coeffs[-1].is_zero():
-            coeffs.pop()
-        self.spec = spec
-        self.coeffs = tuple(coeffs)
-
-    @classmethod
-    def zero(cls, spec):
-        return cls(spec, ())
-
-    @classmethod
-    def one(cls, spec):
-        return cls(spec, (RatFun.one(spec),))
+    _coeff_zero = staticmethod(RatFun.zero)
+    _coeff_one = staticmethod(RatFun.one)
+    _coeff_from_int = staticmethod(RatFun.from_int)
 
     @classmethod
     def x(cls, spec):
@@ -475,129 +420,13 @@ class CenterPoly:
     def x_minus(cls, value):
         return cls(value.spec, (-value, RatFun.one(value.spec)))
 
-    @property
-    def degree(self):
-        return len(self.coeffs) - 1
-
-    def is_zero(self):
-        return not self.coeffs
-
-    def is_one(self):
-        return len(self.coeffs) == 1 and self.coeffs[0].is_one()
-
-    def coeff(self, i):
-        if i < len(self.coeffs):
-            return self.coeffs[i]
-        return RatFun.zero(self.spec)
-
-    def leading(self):
-        return self.coeffs[-1]
-
     def constant_term(self):
         return self.coeff(0)
-
-    def in_prime_field(self):
-        return all(c.in_prime_field() for c in self.coeffs)
 
     def assert_prime_field(self):
         if not self.in_prime_field():
             raise ValueError("coefficients do not lie in F_p(s)")
         return self
-
-    def __add__(self, other):
-        n = max(len(self.coeffs), len(other.coeffs))
-        return CenterPoly(self.spec,
-                          [self.coeff(i) + other.coeff(i) for i in range(n)])
-
-    def __sub__(self, other):
-        n = max(len(self.coeffs), len(other.coeffs))
-        return CenterPoly(self.spec,
-                          [self.coeff(i) - other.coeff(i) for i in range(n)])
-
-    def __neg__(self):
-        return CenterPoly(self.spec, [-c for c in self.coeffs])
-
-    def __mul__(self, other):
-        if isinstance(other, RatFun):
-            return CenterPoly(self.spec, [c * other for c in self.coeffs])
-        if self.is_zero() or other.is_zero():
-            return CenterPoly.zero(self.spec)
-        z = RatFun.zero(self.spec)
-        out = [z] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return CenterPoly(self.spec, out)
-
-    def __pow__(self, e):
-        return power(self, e, lambda: CenterPoly.one(self.spec))
-
-    def divmod(self, other):
-        if other.is_zero():
-            raise ZeroDivisionError("division by zero polynomial")
-        rem = list(self.coeffs)
-        dd = other.degree
-        if self.degree < dd:
-            return CenterPoly.zero(self.spec), self
-        inv = other.leading().inverse()
-        quot = [RatFun.zero(self.spec)] * (len(rem) - dd)
-        for k in range(len(rem) - 1, dd - 1, -1):
-            c = rem[k]
-            if c.is_zero():
-                continue
-            q = c * inv
-            quot[k - dd] = q
-            for i in range(dd + 1):
-                rem[k - dd + i] = rem[k - dd + i] - q * other.coeffs[i]
-        return CenterPoly(self.spec, quot), CenterPoly(self.spec, rem)
-
-    def __floordiv__(self, other):
-        return self.divmod(other)[0]
-
-    def __mod__(self, other):
-        return self.divmod(other)[1]
-
-    def exact_div(self, other):
-        q, r = self.divmod(other)
-        if not r.is_zero():
-            raise ValueError("division not exact")
-        return q
-
-    def monic(self):
-        if self.is_zero():
-            return self
-        return self * self.leading().inverse()
-
-    def gcd(self, other):
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a % b
-        return a.monic()
-
-    def xgcd(self, other):
-        """(g, u, v) with u*self + v*other = g, g monic gcd."""
-        spec = self.spec
-        a, b = self, other
-        ua, va = CenterPoly.one(spec), CenterPoly.zero(spec)
-        ub, vb = CenterPoly.zero(spec), CenterPoly.one(spec)
-        while not b.is_zero():
-            q, r = a.divmod(b)
-            a, b = b, r
-            ua, ub = ub, ua - q * ub
-            va, vb = vb, va - q * vb
-        if a.is_zero():
-            return a, ua, va
-        inv = a.leading().inverse()
-        return a * inv, ua * inv, va * inv
-
-    def derivative(self):
-        spec = self.spec
-        out = []
-        for i in range(1, len(self.coeffs)):
-            out.append(self.coeffs[i] * RatFun.from_int(spec, i))
-        return CenterPoly(spec, out)
 
     def evaluate(self, x):
         """Horner evaluation at a RatFun."""
@@ -613,13 +442,6 @@ class CenterPoly:
         for c in reversed(self.coeffs):
             acc = acc * A + SkewMatrix.identity(A.spec, n).scale_central(c)
         return acc
-
-    def __eq__(self, other):
-        return (isinstance(other, CenterPoly) and self.spec == other.spec
-                and self.coeffs == other.coeffs)
-
-    def __hash__(self):
-        return hash((self.spec, self.coeffs))
 
     def __repr__(self):
         if self.is_zero():
@@ -726,7 +548,8 @@ def min_poly_center(A):
         coeffs = [w[j] * RatFun(cols[j][1], _canonical=True) * inv_d
                   for j in range(k)] + [RatFun.one(spec)]
         return CenterPoly(spec, coeffs).assert_prime_field()
-    raise AssertionError("no annihilating polynomial below Cayley-Hamilton bound")
+    raise SplitSelfCheckError("no annihilating polynomial below the "
+                              "Cayley-Hamilton bound")
 
 
 def char_poly_tilde(A):

@@ -13,10 +13,10 @@ import itertools
 import math
 
 from .fields import (CPoly, FieldSpec, RatFun, char_poly, lift_cpoly,
-                     mat_identity, mat_mul, power)
+                     mat_identity, mat_mul, power, rref)
 from .fqfactor import factor as fq_factor
-from .skew import (CenterPoly, SkewElem, SkewMatrix, column_space_basis,
-                   companion_matrix, gauss_eliminate, matrix_inverse,
+from .skew import (CenterPoly, SkewElem, SkewMatrix, SplitSelfCheckError,
+                   column_space_basis, companion_matrix, matrix_inverse,
                    min_poly_center, right_kernel)
 
 
@@ -26,11 +26,6 @@ class CapacityError(ValueError):
 
 class NonDominantError(ValueError):
     """The endomorphism is not dominant (minimal polynomial has root 0)."""
-
-
-class SplitSelfCheckError(RuntimeError):
-    """An exact identity that a correct split satisfies by construction
-    failed (an engine fault, not bad input)."""
 
 
 class UnknownClassificationError(RuntimeError):
@@ -173,7 +168,9 @@ def _factor_squarefree(g):
     biv = []
     for i, c in enumerate(g.coeffs):
         scaled = c * RatFun(d ** (n - i), _canonical=True)
-        assert scaled.den.is_one()
+        if not scaled.den.is_one():
+            raise SplitSelfCheckError("clearing by the lcm left a "
+                                      "denominator")
         biv.append(scaled.num)
     degs = max(c.degree for c in biv)
     if degs > _DEGREE_CAP_S:
@@ -244,7 +241,9 @@ def _hensel_lift(ft, g0, h0, B):
             continue
         q, dg = (v * e).divmod(g0)
         dh = u * e + q * h0
-        assert dg.degree < g0.degree and dh.degree < h0.degree
+        if dg.degree >= g0.degree or dh.degree >= h0.degree:
+            raise SplitSelfCheckError("Hensel step exceeds the factor "
+                                      "degrees")
         for j in range(dg.degree + 1):
             G[j] = G[j] + CPoly.monomial(spec, dg.coeff(j), m)
         for j in range(dh.degree + 1):
@@ -435,10 +434,8 @@ def _col_matrix(spec, vecs, n):
     return SkewMatrix(spec, [[v[i] for v in vecs] for i in range(n)])
 
 
-def _col_rank(spec, vecs, n):
-    if not vecs:
-        return 0
-    return gauss_eliminate(_col_matrix(spec, vecs, n))[0]
+def _col_rank(vecs, n):
+    return len(rref([[v[i] for v in vecs] for i in range(n)], len(vecs))[1])
 
 
 def jordan_form_central(A0, mp=None):
@@ -479,10 +476,10 @@ def jordan_form_central(A0, mp=None):
             for c in chains:
                 if len(c) >= j:
                     base.append(c[len(c) - j])
-            rank0 = _col_rank(spec, base, n)
+            rank0 = _col_rank(base, n)
             for v in kernels[j]:
                 trial = base + [v]
-                if _col_rank(spec, trial, n) > rank0:
+                if _col_rank(trial, n) > rank0:
                     chain = [v]
                     cur = v
                     for _ in range(j - 1):

@@ -330,7 +330,8 @@ def test_lambda_with_four_terms_is_bound_exit_2(tmp_path, capsys):
     prob = tmp_path / "p.txt"
     prob.write_text(LAMBDA_R4)
     assert main(["tools", "lambda-density", str(prob), "--M", "4"]) == 2
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == ""
     assert err.startswith("error: bound exhausted: lambda equation with "
                           "r = 4 terms") and err.count("\n") == 1
 
