@@ -11,7 +11,7 @@ holds and produce a certificate.
 
 import random
 
-from .fields import FieldSpec, RatFun, power, rref, rref_kernel
+from .fields import FieldSpec, RatFun, mat_mul, power, rref, rref_kernel
 from .fqfactor import embedding, monic_irreducibles
 from .mrat import MPoly, MRatFun, fp_kernel, linearize_fractions
 from .ore import OrePoly
@@ -25,7 +25,8 @@ class AdditiveMap:
     def __init__(self, entries):
         self.entries = tuple(tuple(row) for row in entries)
         self.N = len(self.entries)
-        assert all(len(row) == self.N for row in self.entries)
+        if not all(len(row) == self.N for row in self.entries):
+            raise ValueError("an AdditiveMap needs a square matrix")
         self.spec = self.entries[0][0].spec
 
     @classmethod
@@ -58,23 +59,6 @@ class AdditiveMap:
 # ---------------------------------------------------------------------------
 # Ore matrix helpers (exact arithmetic in F_q[F])
 
-def ore_mat_mul(A, B):
-    n, k, m = len(A), len(B), len(B[0])
-    spec = A[0][0].spec
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            acc = OrePoly.zero(spec)
-            for t in range(k):
-                if A[i][t].is_zero() or B[t][j].is_zero():
-                    continue
-                acc = acc + A[i][t] * B[t][j]
-            row.append(acc)
-        out.append(row)
-    return out
-
-
 def ore_mat_pow(A, e):
     spec = A[0][0].spec
     n = len(A)
@@ -82,7 +66,7 @@ def ore_mat_pow(A, e):
     def identity():
         return [[OrePoly.one(spec) if i == j else OrePoly.zero(spec)
                  for j in range(n)] for i in range(n)]
-    return power(A, e, identity, ore_mat_mul)
+    return power(A, e, identity, mat_mul)
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +159,6 @@ def build_certificate_B(split):
     hr = RatFun(split.h)
     v = [split.P.entries[found][j].scale_central(hr).to_ore()
          for j in range(split.P.cols)]
-    assert any(not e.is_zero() for e in v)
     return CertificateB(v, split.n)
 
 
@@ -216,7 +199,7 @@ def verify_certificate(A, cert):
         if cert.n < 1:
             return False, "iterate exponent must be positive"
         An = ore_mat_pow(entries, cert.n)
-        lhs = ore_mat_mul([list(cert.v)], An)[0]
+        lhs = mat_mul([list(cert.v)], An)[0]
         if all(a == b for a, b in zip(lhs, cert.v)):
             return True, "v*A^%d = v" % cert.n
         return False, "identity fails"
@@ -225,7 +208,7 @@ def verify_certificate(A, cert):
             return False, "exponents must be positive"
         T = [list(row) for row in cert.T]
         An = ore_mat_pow(entries, cert.m)
-        lhs = ore_mat_mul(T, An)
+        lhs = mat_mul(T, An)
         F = OrePoly.F(spec, cert.r)
         rhs = [[F * e for e in row] for row in T]
         if lhs != rhs:

@@ -18,10 +18,9 @@ import hashlib
 import sys
 
 from . import __version__
-from .fields import FieldSpec, CPoly
+from .fields import FieldSpec
 from .mrat import MPoly, MRatFun
-from .ore import OrePoly, OreParseError, format_ore, parse_ore, \
-    parse_field_literal
+from .ore import OreParseError, format_ore, parse_ore, parse_field_literal
 from .skew import min_poly_center, tilde
 from .split import (CapacityError, NonDominantError, SplitSelfCheckError,
                     UnknownClassificationError, split_endomorphism)
@@ -30,7 +29,7 @@ from .classify import (AdditiveMap, CertificateB, CertificateC,
                        classify, construct_independent_points,
                        density_check_orbit, orbit, verify_certificate)
 from .fsets import (FpFModule, FSetDescriptor, LambdaEqInstance,
-                    lambda_density, fset_enumerate)
+                    fset_enumerate, solve_lambda_eq)
 
 
 class CLIError(ValueError):
@@ -100,6 +99,13 @@ def _get_int(sec, key, section_name, default=None):
     except ValueError:
         raise CLIError("key %r in [%s] must be an integer"
                        % (key, section_name))
+
+
+def _positive(value, name):
+    """A count taken from the command line or a file: an int >= 1."""
+    if value < 1:
+        raise CLIError("%s must be >= 1, got %d" % (name, value))
+    return value
 
 
 def _split_list(value):
@@ -469,10 +475,10 @@ def parse_certificate(text, spec):
             raise CLIError("certificate A has no witness coordinates")
         payload = {
             "alpha": alpha,
-            "density_m": _get_int(csec, "density_m", "certificate",
-                                  default=20),
-            "density_d": _get_int(csec, "density_d", "certificate",
-                                  default=2),
+            "density_m": _positive(_get_int(csec, "density_m", "certificate",
+                                            default=20), "density_m"),
+            "density_d": _positive(_get_int(csec, "density_d", "certificate",
+                                            default=2), "density_d"),
         }
     else:
         raise CLIError("unknown certificate kind %r" % kind)
@@ -491,10 +497,10 @@ def cmd_classify(args, out):
         raise CLIError("no dimension d given ([question] or --d)")
     if d < 1:
         raise CLIError("dimension d must be >= 1")
-    density_m = args.density_M if args.density_M is not None \
-        else q.get("density_m", 20)
-    density_d = args.density_D if args.density_D is not None \
-        else q.get("density_d", 2)
+    density_m = _positive(args.density_M if args.density_M is not None
+                          else q.get("density_m", 20), "density_m")
+    density_d = _positive(args.density_D if args.density_D is not None
+                          else q.get("density_d", 2), "density_d")
     seed = args.seed if args.seed is not None else q.get("seed", 0)
     try:
         verdict = classify(A, d, density_M=density_m, density_D=density_d,
@@ -587,7 +593,7 @@ def cmd_tools(args, out):
         alpha = problem_point(problem)
         if len(alpha) != A.N:
             raise CLIError("point dimension does not match the map")
-        for pt in orbit(A, alpha, args.M):
+        for pt in orbit(A, alpha, _positive(args.M, "--M")):
             print(" ; ".join(repr(c) for c in pt), file=out)
         return 0
     if sub == "density":
@@ -595,7 +601,8 @@ def cmd_tools(args, out):
         alpha = problem_point(problem)
         if len(alpha) != A.N:
             raise CLIError("point dimension does not match the map")
-        report = density_check_orbit(A, alpha, args.M, args.D,
+        report = density_check_orbit(A, alpha, _positive(args.M, "--M"),
+                                     _positive(args.D, "--D"),
                                      seed=args.seed or 0)
         print("outcome = %s" % report.outcome, file=out)
         print("field_size = %d" % report.field_size, file=out)
@@ -608,7 +615,7 @@ def cmd_tools(args, out):
         return 0
     if sub == "lambda-density":
         inst = problem_lambda_instance(problem)
-        from .fsets import solve_lambda_eq
+        _positive(args.M, "--M")
         # solve before printing, so that a rejected instance (CapacityError
         # for r > 3) leaves nothing on stdout
         sweep = [solve_lambda_eq(inst, m) for m in range(1, args.M + 1)]

@@ -1,7 +1,6 @@
 """Exact arithmetic foundations: prime fields, extension fields F_{p^ell},
 univariate polynomials and rational functions over them, row reduction
-over any division ring, and fraction-free linear algebra over the rational
-function field.
+over any division ring, and determinants over the rational function field.
 
 All values are immutable; every operation is a pure function.
 
@@ -46,93 +45,10 @@ def is_prime(n):
     return True
 
 
-# ---------------------------------------------------------------------------
-# polynomials over F_p represented as tuples of ints (used only for moduli)
-
-def _fp_trim(c):
-    c = list(c)
-    while c and c[-1] == 0:
-        c.pop()
-    return tuple(c)
-
-
-def _fp_mulmod(a, b, m, p):
-    res = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                res[i + j] = (res[i + j] + x * y) % p
-    return _fp_mod(tuple(res), m, p)
-
-
-def _fp_mod(a, m, p):
-    a = list(a)
-    dm = len(m) - 1
-    inv = pow(m[-1], p - 2, p)
-    while len(a) - 1 >= dm and a:
-        if a[-1]:
-            q = a[-1] * inv % p
-            shift = len(a) - 1 - dm
-            for i, c in enumerate(m):
-                a[shift + i] = (a[shift + i] - q * c) % p
-        a.pop()
-    return _fp_trim(a)
-
-
-def _fp_powmod(a, e, m, p):
-    return power(_fp_mod(a, m, p), e, lambda: (1,),
-                 lambda x, y: _fp_mulmod(x, y, m, p))
-
-
-def _fp_gcd(a, b, p):
-    a, b = _fp_trim(a), _fp_trim(b)
-    while b:
-        inv = pow(b[-1], p - 2, p)
-        r = list(a)
-        while len(r) >= len(b) and r:
-            if r[-1]:
-                q = r[-1] * inv % p
-                shift = len(r) - len(b)
-                for i, c in enumerate(b):
-                    r[shift + i] = (r[shift + i] - q * c) % p
-            r.pop()
-        a, b = b, _fp_trim(r)
-    return a
-
-
-def fp_poly_is_irreducible(coeffs, p):
-    """Irreducibility of a monic polynomial over F_p (Rabin's test)."""
-    coeffs = _fp_trim(coeffs)
-    n = len(coeffs) - 1
-    if n < 1:
-        return False
-    x = (0, 1)
-    if _fp_powmod(x, p ** n, coeffs, p) != _fp_mod(x, coeffs, p):
-        return False
-    r = 2
-    factors = []
-    m = n
-    while r <= m:
-        if m % r == 0:
-            factors.append(r)
-            while m % r == 0:
-                m //= r
-        r += 1
-    if m > 1:
-        factors.append(m)
-    for r in factors:
-        xq = _fp_powmod(x, p ** (n // r), coeffs, p)
-        diff = list(xq) + [0] * (2 - len(xq))
-        diff[1] = (diff[1] - 1) % p
-        g = _fp_gcd(tuple(diff), coeffs, p)
-        if len(g) - 1 != 0:
-            return False
-    return True
-
-
 @lru_cache(maxsize=None)
 def smallest_irreducible(p, ell):
-    """Lexicographically smallest monic irreducible of degree ell over F_p."""
+    """Lexicographically smallest monic irreducible of degree ell over F_p:
+    the first candidate that FieldSpec accepts as its modulus."""
     if ell == 1:
         return (0, 1)
     # iterate over lower coefficient tuples in lex order (c0 most significant
@@ -144,8 +60,11 @@ def smallest_irreducible(p, ell):
             lower.append(c % p)
             c //= p
         cand = tuple(lower) + (1,)
-        if fp_poly_is_irreducible(cand, p):
-            return cand
+        try:
+            FieldSpec(p, ell, cand)
+        except ValueError:
+            continue
+        return cand
     raise RuntimeError("no irreducible found")  # unreachable
 
 
@@ -167,8 +86,6 @@ class FieldSpec:
         modulus = tuple(c % p for c in modulus)
         if len(modulus) != ell + 1 or modulus[-1] != 1:
             raise ValueError("modulus must be monic of degree ell")
-        if not fp_poly_is_irreducible(modulus, p):
-            raise ValueError("modulus is not irreducible over F_%d" % p)
         self.p = p
         self.ell = ell
         self.q = p ** ell
@@ -197,11 +114,16 @@ class FieldSpec:
             self._taps = tuple(i for i in range(ell) if modulus[i])
             self._mul = self._mul_binary
         else:
-            self._mu = self._pack(_barrett_mu(modulus, p))
+            fp = FieldSpec.get(p, 1)
+            mu = CPoly.monomial(fp, fp.one(), 2 * ell) \
+                // CPoly.from_ints(fp, modulus)
+            self._mu = self._pack(c.packed for c in mu.coeffs)
             self._neg_tail = self._pack(tuple(-c % p for c in modulus[:ell]))
             self._mul = self._mul_slots
         self._zero = _elem(self, 0)
         self._one = _elem(self, 1)
+        if ell > 1 and not self._modulus_is_irreducible():
+            raise ValueError("modulus is not irreducible over F_%d" % p)
 
     @classmethod
     def get(cls, p, ell, modulus=None):
@@ -250,19 +172,39 @@ class FieldSpec:
         return reduce((t & self._low) + ((quot * self._neg_tail) & self._low))
 
     def _pow(self, v, e):
-        """v^e for a packed v and e >= 0, by square-and-multiply."""
+        """v^e for a packed v and e >= 0.  The exponent is reduced mod
+        q - 1, which is exact only in a field: on a modulus not yet
+        known to be irreducible, call it with e < q - 1 only."""
         if not e:
             return 1
         if not v:
             return 0
-        e = (e - 1) % (self.q - 1) + 1
-        mul = self._mul
-        acc = v
-        for bit in bin(e)[3:]:
-            acc = mul(acc, acc)
-            if bit == "1":
-                acc = mul(acc, v)
-        return acc
+        return power(v, (e - 1) % (self.q - 1) + 1, None, self._mul)
+
+    def _modulus_is_irreducible(self):
+        """Rabin's test, run in the packed ring F_p[x]/(modulus): the
+        modulus f of degree ell is irreducible iff x^(p^ell) = x and
+        gcd(x^(p^(ell/r)) - x, f) = 1 for every prime r dividing ell.
+        The packed product (carry-less fold or Barrett reduction) is
+        exact for any monic modulus, and x^(p^k) is _pow(., p) applied k
+        times (p < q - 1, so _pow reduces no exponent): the test assumes
+        no field property.  The first condition is checked first, since
+        it rejects most reducible moduli.  The gcds run over F_p =
+        FieldSpec.get(p, 1), which has ell = 1 and runs no test."""
+        p, ell = self.p, self.ell
+        x_pows = [1 << self._w]  # x^(p^k) for k = 0 .. ell
+        for _ in range(ell):
+            x_pows.append(self._pow(x_pows[-1], p))
+        if x_pows[ell] != x_pows[0]:
+            return False
+        fp = FieldSpec.get(p, 1)
+        f = CPoly.from_ints(fp, self.modulus)
+        for r in range(2, ell + 1):
+            if ell % r == 0 and is_prime(r):
+                g = CPoly.from_ints(fp, _elem(self, x_pows[ell // r]).coeffs)
+                if not (g - CPoly.s(fp)).gcd(f).is_one():
+                    return False
+        return True
 
     # -- elements ------------------------------------------------------------
 
@@ -308,20 +250,6 @@ class FieldSpec:
 
     def __repr__(self):
         return "FieldSpec(p=%d, ell=%d)" % (self.p, self.ell)
-
-
-def _barrett_mu(modulus, p):
-    """Coefficients of floor(x^(2 ell) / modulus) over F_p (modulus monic)."""
-    ell = len(modulus) - 1
-    num = [0] * (2 * ell) + [1]
-    mu = [0] * (ell + 1)
-    for k in range(2 * ell, ell - 1, -1):
-        c = num[k] % p
-        if c:
-            mu[k - ell] = c
-            for i, m in enumerate(modulus):
-                num[k - ell + i] -= c * m
-    return mu
 
 
 class FqElem:
@@ -889,100 +817,27 @@ def rref_kernel(rows, pivots, ncols, zero, one):
 # ---------------------------------------------------------------------------
 # linear algebra over the rational function field
 
-def _clear_rows(M):
-    """Scale each row by its common denominator; returns CPoly matrix.
-
-    Row scaling by a nonzero element does not change the right kernel."""
-    out = []
-    for row in M:
-        den = CPoly.one(row[0].spec) if row else None
-        for e in row:
-            if not e.den.is_one():
-                den = den.lcm(e.den)
-        cleared = []
-        for e in row:
-            if den.is_one():
-                cleared.append(e.num)
-            else:
-                cleared.append(e.num * den.exact_div(e.den))
-        out.append(cleared)
-    return out
-
-
-def _echelon_fraction_free(rows, ncols):
-    """Bareiss-style fraction-free elimination on a CPoly matrix.
-
-    Returns (rows, pivot list of (row, col))."""
-    rows = [list(r) for r in rows]
-    pivots = []
-    prev = None
-    r = 0
-    for c in range(ncols):
-        # find pivot
-        pr = None
-        for i in range(r, len(rows)):
-            if not rows[i][c].is_zero():
-                pr = i
-                break
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        piv = rows[r][c]
-        for i in range(r + 1, len(rows)):
-            head = rows[i][c]
-            new = []
-            for j in range(ncols):
-                v = piv * rows[i][j] - head * rows[r][j]
-                if prev is not None and not v.is_zero():
-                    v = v.exact_div(prev)
-                new.append(v)
-            rows[i] = new
-        pivots.append((r, c))
-        prev = piv
-        r += 1
-        if r == len(rows):
-            break
-    return rows, pivots
-
-
 def kernel_basis(M):
-    """Basis of the right kernel of a matrix over RatFun.
+    """Basis of the right kernel of a matrix over RatFun, read off its
+    reduced row echelon form (`rref`, `rref_kernel`).
 
     M is a list of rows (lists of RatFun).  Returns a list of kernel
-    vectors (lists of RatFun); empty list iff the kernel is trivial.
-    Implemented fraction-free: rows are cleared to F_q[s], eliminated
-    Bareiss-style, and back substitution divides back in the fraction
-    field.
+    vectors (lists of RatFun), one per free column fc with 1 at fc and 0
+    at the other free columns; empty list iff the kernel is trivial.
     """
     if not M:
         return []
     ncols = len(M[0])
     spec = M[0][0].spec
-    rows, pivots = _echelon_fraction_free(_clear_rows(M), ncols)
-    pivot_cols = [c for (_, c) in pivots]
-    free_cols = [c for c in range(ncols) if c not in pivot_cols]
-    basis = []
-    zero = RatFun.zero(spec)
-    one = RatFun.one(spec)
-    for fc in free_cols:
-        v = [zero] * ncols
-        v[fc] = one
-        for (r, c) in reversed(pivots):
-            # rows[r] . v = 0  => solve for v[c]
-            acc = zero
-            for j in range(c + 1, ncols):
-                if not rows[r][j].is_zero() and not v[j].is_zero():
-                    acc = acc + RatFun(rows[r][j], _canonical=True) * v[j]
-            v[c] = -(acc / RatFun(rows[r][c], _canonical=True))
-        basis.append(v)
-    return basis
+    rows, pivots = rref(M, ncols)
+    return rref_kernel(rows, pivots, ncols, RatFun.zero(spec),
+                       RatFun.one(spec))
 
 
 def matrix_rank(M):
     if not M:
         return 0
-    _, pivots = _echelon_fraction_free(_clear_rows(M), len(M[0]))
-    return len(pivots)
+    return len(rref(M, len(M[0]))[1])
 
 
 def solve_linear(M, b):
@@ -1004,19 +859,21 @@ def solve_linear(M, b):
 
 
 def mat_mul(A, B):
-    n, k, m = len(A), len(B), len(B[0])
-    spec = A[0][0].spec
-    zero = RatFun.zero(spec)
+    """Product of two matrices, given as lists of rows, over any ring
+    whose elements have `spec`, `is_zero()` and a classmethod
+    `zero(spec)` (RatFun, OrePoly, SkewElem).  Products with a zero
+    factor are skipped.  A and B must be nonempty."""
+    a00 = A[0][0]
+    zero = type(a00).zero(a00.spec)
     out = []
-    for i in range(n):
+    for arow in A:
         row = []
-        for j in range(m):
+        for j in range(len(B[0])):
             acc = zero
-            for t in range(k):
-                a = A[i][t]
+            for a, brow in zip(arow, B):
                 if a.is_zero():
                     continue
-                b = B[t][j]
+                b = brow[j]
                 if b.is_zero():
                     continue
                 acc = acc + a * b

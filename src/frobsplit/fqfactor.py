@@ -6,7 +6,7 @@ Randomized steps are seeded from the input so results are deterministic.
 
 import random
 
-from .fields import CPoly, FieldSpec, lift_cpoly, power
+from .fields import CPoly, power
 
 
 def powmod(base, e, mod):

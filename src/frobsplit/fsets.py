@@ -12,7 +12,7 @@ independent.
 import itertools
 
 from .fields import rref
-from .mrat import MPoly, MRatFun, fp_kernel, linearize_fractions
+from .mrat import MRatFun, fp_kernel, linearize_fractions
 from .split import CapacityError
 
 
@@ -40,7 +40,8 @@ class FpFModule:
         self.generators = [tuple(g) for g in generators]
         if self.generators:
             self.N = len(self.generators[0])
-            assert all(len(g) == self.N for g in self.generators)
+            if not all(len(g) == self.N for g in self.generators):
+                raise ValueError("module generators differ in dimension")
             self.spec = self.generators[0][0].spec
             self.nvars = self.generators[0][0].nvars
         else:
@@ -54,7 +55,8 @@ class FpFModule:
     def elements(self, bound, cap=100000):
         """All (element, representation) with deg P_i <= bound.  The
         representation lists the integer coefficients of each P_i."""
-        assert bound >= 0
+        if bound < 0:
+            raise ValueError("module bound must be >= 0")
         if not self.generators:
             return []
         p = self.spec.p
@@ -89,14 +91,17 @@ class FSetDescriptor:
         self.gamma0 = tuple(gamma0)
         self.gammas = [tuple(g) for g in gammas]
         self.ks = list(ks)
-        assert len(self.gammas) == len(self.ks)
+        if len(self.gammas) != len(self.ks):
+            raise ValueError("one period k_i is needed per gamma_i")
         if not all(k >= 1 for k in self.ks):
             raise ValueError("periods k_i must be >= 1")
         N = len(self.gamma0)
-        assert all(len(g) == N for g in self.gammas)
+        if not all(len(g) == N for g in self.gammas):
+            raise ValueError("gamma_i and gamma0 differ in dimension")
         self.H = H if H is not None else FpFModule([])
-        if not self.H.is_trivial():
-            assert self.H.N == N
+        if not self.H.is_trivial() and self.H.N != N:
+            raise ValueError("module generators and gamma0 differ in "
+                             "dimension")
         self.N = N
 
     def __repr__(self):
@@ -139,7 +144,8 @@ def fset_enumerate(desc, B, module_bound, include_zero=False, cap=100000):
 def module_contains(Gamma, x, bound):
     """Is x = sum P_i(F)(g_i) with deg P_i <= bound?  Decided by exact
     F_p-linear algebra; False only means "not found within bound"."""
-    assert bound >= 0
+    if bound < 0:
+        raise ValueError("module bound must be >= 0")
     x = tuple(x)
     if Gamma.is_trivial():
         return all(c.is_zero() for c in x)
@@ -211,12 +217,15 @@ class LambdaEqInstance:
     finite-extension representation of F_p(t)."""
 
     def __init__(self, lam, c):
-        assert isinstance(lam, MRatFun) and lam.nvars == 1
-        assert not lam.is_zero(), "lambda must be nonzero"
+        if not isinstance(lam, MRatFun) or lam.nvars != 1:
+            raise ValueError("lambda must be an MRatFun in one variable")
+        if lam.is_zero():
+            raise ValueError("lambda must be nonzero")
         self.lam = lam
         self.c = list(c)
         self.r = len(c) - 1
-        assert self.r >= 1
+        if self.r < 1:
+            raise ValueError("c must list c_0 .. c_r with r >= 1")
         self.spec = lam.spec
 
     def __repr__(self):
@@ -259,7 +268,8 @@ def solve_lambda_eq(inst, m):
     """All tuples (n_1..n_r) of positive integers with
     lambda^m = c_0 + sum c_i t^(n_i); the search is bounded by degree
     comparison (no solution exponent can exceed the degrees involved)."""
-    assert m >= 1
+    if m < 1:
+        raise ValueError("exponent m must be >= 1")
     if inst.r > 3:
         raise CapacityError("lambda equation with r = %d terms; the solver "
                             "handles r <= 3" % inst.r)
@@ -282,7 +292,8 @@ def solve_lambda_eq(inst, m):
 
 def lambda_density(inst, M):
     """(solvable set S intersected with [1, M], |S|/M) by exact sweep."""
-    assert M >= 1
+    if M < 1:
+        raise ValueError("sweep length M must be >= 1")
     S = [m for m in range(1, M + 1) if solve_lambda_eq(inst, m)]
     return S, len(S) / M
 
@@ -293,7 +304,9 @@ def vandermonde_check(lambdas, N, r):
     for pairwise-distinct nonzero lambdas (Vandermonde); preconditions
     are checked and violations raise."""
     lambdas = list(lambdas)
-    assert len(lambdas) == r and r >= 1
+    if r < 1 or len(lambdas) != r:
+        raise ValueError("need r >= 1 lambdas, got %d for r = %d"
+                         % (len(lambdas), r))
     if any(x.is_zero() for x in lambdas):
         raise ValueError("lambdas must be nonzero")
     for i in range(r):

@@ -4,8 +4,8 @@ into M_{n*ell}(F_q(F^ell)), minimal polynomials over the center, and
 constructive inversion via central multipliers.
 """
 
-from .fields import (CPoly, RatFun, char_poly, power, prime_coords, rref,
-                     rref_kernel, solve_linear)
+from .fields import (CPoly, RatFun, char_poly, mat_mul, power,
+                     prime_coords, rref, rref_kernel, solve_linear)
 from .ore import OrePoly
 
 
@@ -204,23 +204,9 @@ class SkewMatrix:
         if self.cols != other.rows:
             raise ValueError("%d x %d times %d x %d matrix" % (
                 self.rows, self.cols, other.rows, other.cols))
-        z = SkewElem.zero(self.spec)
-        out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                acc = z
-                for k in range(self.cols):
-                    a = self.entries[i][k]
-                    if a.is_zero():
-                        continue
-                    b = other.entries[k][j]
-                    if b.is_zero():
-                        continue
-                    acc = acc + a * b
-                row.append(acc)
-            out.append(row)
-        return SkewMatrix(self.spec, out)
+        if not (self.rows and self.cols):
+            return SkewMatrix.zero(self.spec, self.rows, other.cols)
+        return SkewMatrix(self.spec, mat_mul(self.entries, other.entries))
 
     def scale_central(self, rf):
         return SkewMatrix(self.spec, [[a.scale_central(rf) for a in row]

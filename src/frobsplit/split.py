@@ -14,7 +14,7 @@ import math
 
 from .fields import (CPoly, FieldSpec, RatFun, char_poly, lift_cpoly,
                      mat_identity, mat_mul, power, rref)
-from .fqfactor import factor as fq_factor
+from .fqfactor import factor as fq_factor, pth_root
 from .skew import (CenterPoly, SkewElem, SkewMatrix, SplitSelfCheckError,
                    column_space_basis, companion_matrix, matrix_inverse,
                    min_poly_center, right_kernel)
@@ -45,15 +45,11 @@ _DEGREE_CAP_X = 64
 _DEGREE_CAP_S = 256
 
 
-def _ratfun_down(rf, fp):
-    """Map a RatFun with prime-field coefficients down to F_p = F_p^1."""
-    def down(c):
-        return CPoly(fp, tuple(fp.from_int(e.coeffs[0]) for e in c.coeffs))
-    return RatFun(down(rf.num), down(rf.den))
-
-
-def _ratfun_up(rf, spec):
-    return RatFun(lift_cpoly(rf.num, spec), lift_cpoly(rf.den, spec))
+def _lift_ratfun(rf, spec):
+    """A RatFun with prime-field coefficients, mapped into F_q(s) for
+    another q = p^ell of the same p (down to F_p or back up)."""
+    return RatFun(lift_cpoly(rf.num, spec), lift_cpoly(rf.den, spec),
+                  _canonical=True)
 
 
 def factor_center(r):
@@ -70,9 +66,9 @@ def factor_center(r):
         raise CapacityError("x-degree %d exceeds cap %d"
                             % (r.degree, _DEGREE_CAP_X))
     fp = FieldSpec.get(spec.p, 1)
-    rd = CenterPoly(fp, [_ratfun_down(c, fp) for c in r.coeffs])
+    rd = CenterPoly(fp, [_lift_ratfun(c, fp) for c in r.coeffs])
     found = _factor_prime(rd)
-    out = [(CenterPoly(spec, [_ratfun_up(c, spec) for c in g.coeffs]), m)
+    out = [(CenterPoly(spec, [_lift_ratfun(c, spec) for c in g.coeffs]), m)
            for g, m in found.items()]
     out.sort(key=lambda t: (t[0].degree, t[1]))
     # exactness check: the product must reconstruct the input
@@ -126,30 +122,13 @@ def _spread(coeffs, p, spec):
 def _pth_root_coeffs(h):
     """If every coefficient of h lies in F_p(s^p), return the polynomial
     with p-th-rooted coefficients; else None."""
-    spec = h.spec
-    p = spec.p
     out = []
     for c in h.coeffs:
-        nr = _cpoly_pth_root(c.num)
-        dr = _cpoly_pth_root(c.den)
-        if nr is None or dr is None:
+        try:
+            out.append(RatFun(pth_root(c.num), pth_root(c.den)))
+        except ValueError:
             return None
-        out.append(RatFun(nr, dr))
-    return CenterPoly(spec, out)
-
-
-def _cpoly_pth_root(u):
-    """p-th root of u in F_p[s] (coefficients are Frobenius-fixed), or
-    None if some exponent is not divisible by p."""
-    p = u.spec.p
-    out = []
-    for i, c in enumerate(u.coeffs):
-        if i % p:
-            if not c.is_zero():
-                return None
-            continue
-        out.append(c)
-    return CPoly(u.spec, out)
+    return CenterPoly(h.spec, out)
 
 
 def _factor_squarefree(g):
@@ -307,9 +286,7 @@ def _recombine(lifted, subset, a, B, spec, ext):
         cs = c.shift_var(-a)
         if not cs.in_prime_field():
             return None
-        out.append(RatFun(CPoly(spec, tuple(spec.from_int(e.coeffs[0])
-                                            for e in cs.coeffs)),
-                          _canonical=True))
+        out.append(RatFun(lift_cpoly(cs, spec), _canonical=True))
     return CenterPoly(spec, out)
 
 

@@ -310,6 +310,7 @@ def test_classify_under_optimize_flag_writes_same_certificate(tmp_path):
 FSET_K0 = ("[field]\np = 2\nell = 1\n\n[fset]\ngamma0 = 0\ngamma_1 = t1\n"
            "k_1 = 0\n")
 LAMBDA_R4 = LAMBDA.replace("c = 1 ; 1", "c = 1 ; 1 ; 1 ; 1 ; 1")
+FSET_BAD_H = FSET_K0.replace("k_1 = 0", "k_1 = 1\nh_1 = t1 ; t1")
 
 
 def test_fset_zero_period_is_error_exit_1(tmp_path, capsys):
@@ -324,6 +325,54 @@ def test_fset_zero_period_is_error_exit_1(tmp_path, capsys):
     assert main(["tools", "fset", str(prob), "--M", "0"]) == 1
     assert capsys.readouterr().err == \
         "error: exponent bound b must be >= 1\n"
+    prob.write_text(FSET_BAD_H)
+    assert main(["tools", "fset", str(prob)]) == 1
+    assert capsys.readouterr().err == \
+        "error: module generators and gamma0 differ in dimension\n"
+
+
+POINT = F_PLUS_1.replace("[question]\nd = 1\ndensity_m = 25\ndensity_d = 3\n",
+                         "[point]\nnvars = 1\nx_1 = (1) / (t1)\n")
+
+
+def _a_certificate(tmp_path):
+    prob = tmp_path / "a.txt"
+    prob.write_text(F_PLUS_1)
+    cert = tmp_path / "a.cert"
+    code, _ = run(["classify", str(prob), "--out", str(cert)])
+    assert code == 0 and "\ndensity_m = 25\n" in cert.read_text()
+    return prob, cert
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+@pytest.mark.parametrize("case", [
+    "lambda-density --M", "density --M", "density --D", "orbit --M",
+    "classify --density-M", "classify --density-D", "question density_m",
+    "question density_d", "certificate density_m", "certificate density_d"])
+def test_count_below_one_is_error_exit_1(tmp_path, capsys, case, value):
+    where, name = case.split()
+    prob = tmp_path / "p.txt"
+    if where == "certificate":
+        prob, cert = _a_certificate(tmp_path)
+        cert.write_text(cert.read_text().replace(
+            "\n%s = " % name, "\n%s = %s\n# " % (name, value)))
+        argv = ["verify", str(cert), str(prob)]
+    elif where == "question":
+        prob.write_text(F_PLUS_1.replace("\n%s = " % name,
+                                         "\n%s = %s\n# " % (name, value)))
+        argv = ["classify", str(prob)]
+    elif where == "classify":
+        prob.write_text(F_PLUS_1)
+        argv = ["classify", str(prob), name, value]
+    else:
+        prob.write_text(LAMBDA if where == "lambda-density" else POINT)
+        argv = ["tools", where, str(prob), name, value]
+    capsys.readouterr()
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "must be >= 1, got %s" % value in err
 
 
 def test_lambda_with_four_terms_is_bound_exit_2(tmp_path, capsys):
@@ -346,9 +395,10 @@ def test_input_checks_fire_under_optimize_flag(tmp_path):
         frobsplit.__file__)))
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    for text, tool, code in ((FSET_K0, "fset", 1),
-                             (LAMBDA_R4, "lambda-density", 2)):
-        prob = tmp_path / ("%s.txt" % tool)
+    for i, (text, tool, code) in enumerate(((FSET_K0, "fset", 1),
+                                            (FSET_BAD_H, "fset", 1),
+                                            (LAMBDA_R4, "lambda-density", 2))):
+        prob = tmp_path / ("%d.txt" % i)
         prob.write_text(text)
         done = subprocess.run([sys.executable, "-O", "-m", "frobsplit.cli",
                                "tools", tool, str(prob), "--M", "4"],

@@ -1,0 +1,45 @@
+"""Source hygiene of the engine package, read with `ast`: no `assert`
+statement (input checks and invariants must still run under `python
+-O`) and no unused import (the package re-exports only from
+`__init__.py`)."""
+
+import ast
+import glob
+import os
+
+import frobsplit
+
+PACKAGE = os.path.dirname(os.path.abspath(frobsplit.__file__))
+
+
+def _modules():
+    paths = sorted(glob.glob(os.path.join(PACKAGE, "*.py")))
+    assert paths
+    for path in paths:
+        with open(path) as fh:
+            yield os.path.basename(path), ast.parse(fh.read(), path)
+
+
+def _unused_imports(tree):
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in imported.items()
+                  if name not in used)
+
+
+def test_no_assert_statements():
+    found = ["%s:%d" % (name, node.lineno) for name, tree in _modules()
+             for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def test_no_unused_imports():
+    found = ["%s:%d %s" % (name, line, imp) for name, tree in _modules()
+             if name != "__init__.py"
+             for line, imp in _unused_imports(tree)]
+    assert found == []
