@@ -645,7 +645,9 @@ def cmd_tools(args, out):
         print("count = %d" % len(pts), file=out)
         return 0
     if sub == "independence":
-        k = args.M if args.M is not None else 3
+        k = _positive(args.M, "--M") if args.M is not None else 3
+        if args.D < 0:
+            raise CLIError("--D must be >= 0, got %d" % args.D)
         gammas = construct_independent_points(k, [], spec, 1)
         ok, relation = check_independence(gammas, [], args.D, 2)
         for i, g in enumerate(gammas, 1):

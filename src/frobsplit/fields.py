@@ -1,6 +1,7 @@
 """Exact arithmetic foundations: prime fields, extension fields F_{p^ell},
 univariate polynomials and rational functions over them, row reduction
-over any division ring, and determinants over the rational function field.
+over any division ring, and division-free characteristic polynomials and
+determinants over the rational function field.
 
 All values are immutable; every operation is a pure function.
 
@@ -893,92 +894,62 @@ def mat_identity(spec, n):
 
 
 def determinant(M):
-    """Exact determinant of a square RatFun matrix via fraction-free
-    (Bareiss) elimination on a denominator-cleared copy."""
+    """Exact determinant of a square RatFun matrix: (-1)^n times the
+    constant coefficient of `char_poly`."""
     if not M:
         raise ValueError("empty matrix")
-    return _bareiss_det(M, M[0][0].spec)
-
-
-def _bareiss_det(rows_from, spec):
-    n = len(rows_from)
-    dens = CPoly.one(spec)
-    rows = []
-    for row in rows_from:
-        den = CPoly.one(spec)
-        for e in row:
-            if not e.den.is_one():
-                den = den.lcm(e.den)
-        dens = dens * den
-        rows.append([e.num * den.exact_div(e.den) if not den.is_one() else e.num
-                     for e in row])
-    sign = 1
-    prev = None
-    for k in range(n - 1):
-        if rows[k][k].is_zero():
-            for i in range(k + 1, n):
-                if not rows[i][k].is_zero():
-                    rows[k], rows[i] = rows[i], rows[k]
-                    sign = -sign
-                    break
-            else:
-                return RatFun.zero(spec)
-        piv = rows[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                v = piv * rows[i][j] - rows[i][k] * rows[k][j]
-                if prev is not None:
-                    v = v.exact_div(prev)
-                rows[i][j] = v
-            rows[i][k] = CPoly.zero(spec)
-        prev = piv
-    det = rows[n - 1][n - 1]
-    if sign < 0:
-        det = -det
-    return RatFun(det, dens)
+    c0 = char_poly(M)[0]
+    return -c0 if len(M) % 2 else c0
 
 
 def char_poly(M):
     """Characteristic polynomial det(x I - M) of a square RatFun matrix.
 
     Returned as a list of RatFun coefficients, low degree first, monic.
-    Computed by evaluation at n+1 distinct points of F_p(s) followed by
-    Lagrange interpolation (exact)."""
+    Computed without division by Berkowitz's recurrence (Berkowitz, IPL
+    18, 1984) on M' = d M over F_q[s], d the lcm of the entry
+    denominators, so every product is one of polynomials.  Write the
+    block of M' from row k on as [[a, R], [C, A]]; the characteristic
+    polynomial of that block, highest degree first, is the lower
+    triangular Toeplitz matrix with first column 1, -a, -R C, -R A C,
+    ..., -R A^(m-2) C times that of A.  det(x I - M') = d^n det(x/d I -
+    M), so the coefficient of x^(n-i) of M is that of M' over d^i."""
     n = len(M)
     spec = M[0][0].spec
-    pts = []
-    code = 0
-    while len(pts) < n + 1:
-        # enumerate polynomials in s over F_p by base-p digits
-        digits, c = [], code
-        while True:
-            digits.append(c % spec.p)
-            c //= spec.p
-            if c == 0:
-                break
-        pts.append(RatFun(CPoly.from_ints(spec, digits), _canonical=True))
-        code += 1
-    vals = []
-    for x in pts:
-        A = [[(x if i == j else RatFun.zero(spec)) - M[i][j] for j in range(n)]
-             for i in range(n)]
-        vals.append(_bareiss_det(A, spec))
-    # Lagrange interpolation
-    coeffs = [RatFun.zero(spec)] * (n + 1)
-    for i, xi in enumerate(pts):
-        # basis polynomial prod_{j!=i} (x - xj)/(xi - xj)
-        basis = [RatFun.one(spec)]
-        denom = RatFun.one(spec)
-        for j, xj in enumerate(pts):
-            if j == i:
-                continue
-            new = [RatFun.zero(spec)] * (len(basis) + 1)
-            for k, c in enumerate(basis):
-                new[k] = new[k] - c * xj
-                new[k + 1] = new[k + 1] + c
-            basis = new
-            denom = denom * (xi - xj)
-        scale = vals[i] / denom
-        for k, c in enumerate(basis):
-            coeffs[k] = coeffs[k] + c * scale
-    return coeffs
+    one = CPoly.one(spec)
+    dens = {e.den for row in M for e in row}
+    d = one
+    for den in dens:
+        if not den.is_one():
+            d = d.lcm(den)
+    cof = {den: d.exact_div(den) for den in dens}
+    A = [[e.num if cof[e.den].is_one() else e.num * cof[e.den] for e in row]
+         for row in M]
+    p = [one, -A[n - 1][n - 1]]  # block from row n-1 on, highest first
+    for k in range(n - 2, -1, -1):
+        m = n - k
+        cols = [[A[i][j] for i in range(k + 1, n)] for j in range(k + 1, n)]
+        C = [A[i][k] for i in range(k + 1, n)]
+        t = [one, -A[k][k]]
+        v = A[k][k + 1:]  # R A^i for i = 0, 1, ..., m-2
+        for i in range(m - 1):
+            t.append(-_dot(v, C))
+            if i < m - 2:
+                v = [_dot(v, col) for col in cols]
+        p = [_dot(t[i::-1], p[:i + 1]) for i in range(m + 1)]
+    out = []
+    scale = one
+    for c in p:
+        out.append(RatFun(c, scale))
+        scale = scale * d
+    return out[::-1]
+
+
+def _dot(u, v):
+    """Sum of the products u_i v_i of two nonempty CPoly lists; products
+    with a zero factor are skipped."""
+    acc = CPoly.zero(u[0].spec)
+    for a, b in zip(u, v):
+        if a.coeffs and b.coeffs:
+            acc = acc + a * b
+    return acc

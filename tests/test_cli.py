@@ -154,6 +154,18 @@ def test_classify_unknown_exit_2(tmp_path):
     assert code == 0
 
 
+def test_companion_of_x7_x_1_is_unknown_exit_2(tmp_path, capsys):
+    # n = 127 is not among classify_factor's candidate powers
+    entries = "".join("entry_%d_%d = %d\n" % (i, j, int(i == j + 1 or (
+        j == 7 and i in (1, 2)))) for i in range(1, 8) for j in range(1, 8))
+    prob = tmp_path / "p.txt"
+    prob.write_text("[field]\np = 2\nell = 1\n\n[map]\nn = 7\n" + entries
+                    + "\n[question]\nd = 1\n")
+    assert main(["classify", str(prob)]) == 2
+    out, err = capsys.readouterr()
+    assert "classification bound exhausted: unknown" in out + err
+
+
 def test_non_dominant_exit_1(tmp_path):
     prob = tmp_path / "p.txt"
     prob.write_text("[field]\np = 2\nell = 1\n\n[map]\nn = 1\n"
@@ -347,6 +359,7 @@ def _a_certificate(tmp_path):
 @pytest.mark.parametrize("value", ["0", "-3"])
 @pytest.mark.parametrize("case", [
     "lambda-density --M", "density --M", "density --D", "orbit --M",
+    "independence --M",
     "classify --density-M", "classify --density-D", "question density_m",
     "question density_d", "certificate density_m", "certificate density_d"])
 def test_count_below_one_is_error_exit_1(tmp_path, capsys, case, value):
@@ -373,6 +386,21 @@ def test_count_below_one_is_error_exit_1(tmp_path, capsys, case, value):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "must be >= 1, got %s" % value in err
+
+
+@pytest.mark.parametrize("value", ["-1", "-3"])
+def test_independence_negative_degree_is_error_exit_1(tmp_path, capsys,
+                                                      value):
+    prob = tmp_path / "p.txt"
+    prob.write_text(POINT)
+    capsys.readouterr()
+    assert main(["tools", "independence", str(prob), "--D", value]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: --D must be >= 0, got %s\n" % value
+    # operator degree 0 is a valid question
+    assert main(["tools", "independence", str(prob), "--D", "0"]) == 0
+    assert "independent = " in capsys.readouterr().out
 
 
 def test_lambda_with_four_terms_is_bound_exit_2(tmp_path, capsys):

@@ -119,6 +119,18 @@ def test_classify_factor_cap_gives_unknown():
     assert c.is_frobenius() and c.n == 2
 
 
+def test_classify_factor_pinned_answers():
+    x, s, _ = x_s_one(F3)
+    c = classify_factor(x ** 9 + CenterPoly(F3, [s]))
+    assert c.is_frobenius() and (c.n, c.j) == (18, 2)
+    x, s, one = x_s_one(F2)
+    c = classify_factor(x ** 6 + x + one)
+    assert c.is_frobenius() and (c.n, c.j) == (63, 0)
+    # not of Frobenius type, but candidates above the cap stay untried
+    c = classify_factor(x ** 3 + x + CenterPoly(F2, [s]))
+    assert c.kind == FactorClassification.UNKNOWN and c.bound == 512
+
+
 def test_jordan_form_central():
     sr = RatFun.s(F2)
     A0 = SkewMatrix(F2, [[SkewElem.from_ratfun(sr), SkewElem.one(F2)],
