@@ -7,10 +7,11 @@ All values are immutable; every operation is a pure function.
 
 An element of F_q is packed into a single int (see FqElem): bit i holds
 the coefficient of x^i for p = 2, and a w-bit slot holds it for odd p.
-Only FieldSpec and FqElem know that format; everything else reads the
-power-basis tuple `FqElem.coeffs`.  Multiplication is a carry-less
-shift/XOR product for p = 2 and one big-int (Kronecker) product for odd
-p, each followed by reduction modulo the field's modulus.
+Only this module knows that format (FieldSpec, FqElem, and CPoly, which
+stores packed ints); everything else reads the power-basis tuple
+`FqElem.coeffs`.  Multiplication is a carry-less shift/XOR product for
+p = 2 and one big-int (Kronecker) product for odd p, each followed by
+reduction modulo the field's modulus.
 """
 
 import operator
@@ -69,11 +70,29 @@ def smallest_irreducible(p, ell):
     raise RuntimeError("no irreducible found")  # unreachable
 
 
+_new = object.__new__
+
+
+def _elem(spec, packed):
+    """An FqElem straight from its packed int."""
+    e = _new(FqElem)
+    e.spec = spec
+    e.packed = packed
+    return e
+
+
 class FieldSpec:
     """The field F_q with q = p^ell, as F_p[x]/(modulus).
 
     Besides the field data, a FieldSpec holds the constants of the packed
-    element format (see FqElem), computed once here."""
+    element format (see FqElem), computed once here.  It is also CPoly's
+    coefficient ring: `_add`, `_neg`, `_mul` and `_inv` act on packed
+    ints (xor for p = 2, `_reduce` of slot sums for odd p), `_raw_zero`,
+    `_raw_one` and `_raw_int(n)` are packed constants, and `_raw` /
+    `_view` map an FqElem to its packed int and back."""
+
+    _raw_zero, _raw_one = 0, 1
+    _raw = operator.attrgetter("packed")
 
     _cache = {}
 
@@ -108,6 +127,12 @@ class FieldSpec:
             self._p_all = self._pack((p,) * ell)
         self._slot_mask = (1 << self._w) - 1
         self._low = (1 << (self._w * ell)) - 1
+        if p == 2:
+            self._add, self._neg = operator.xor, operator.pos
+        else:
+            reduce, p_all = self._reduce, self._p_all
+            self._add = lambda a, b: reduce(a + b)
+            self._neg = lambda a: reduce(p_all - a)
         if ell == 1:
             self._mul = self._mul_prime
         elif p == 2:
@@ -118,7 +143,7 @@ class FieldSpec:
             fp = FieldSpec.get(p, 1)
             mu = CPoly.monomial(fp, fp.one(), 2 * ell) \
                 // CPoly.from_ints(fp, modulus)
-            self._mu = self._pack(c.packed for c in mu.coeffs)
+            self._mu = self._pack(mu._c)
             self._neg_tail = self._pack(tuple(-c % p for c in modulus[:ell]))
             self._mul = self._mul_slots
         self._zero = _elem(self, 0)
@@ -181,6 +206,16 @@ class FieldSpec:
         if not v:
             return 0
         return power(v, (e - 1) % (self.q - 1) + 1, None, self._mul)
+
+    def _inv(self, v):
+        if not v:
+            raise ZeroDivisionError("inverse of zero in F_q")
+        return self._pow(v, self.q - 2)
+
+    def _raw_int(self, n):
+        return n % self.p
+
+    _view = _elem
 
     def _modulus_is_irreducible(self):
         """Rabin's test, run in the packed ring F_p[x]/(modulus): the
@@ -352,17 +387,6 @@ class FqElem:
         return "[" + ",".join(str(c) for c in self.coeffs) + "]"
 
 
-_new = object.__new__
-
-
-def _elem(spec, packed):
-    """An FqElem straight from its packed int."""
-    e = _new(FqElem)
-    e.spec = spec
-    e.packed = packed
-    return e
-
-
 # ---------------------------------------------------------------------------
 # univariate polynomials over a field (F_q here, F_q(s) in skew.CenterPoly)
 
@@ -370,37 +394,41 @@ class CPoly:
     """Dense univariate polynomial, lowest degree first: over F_q in the
     central variable s here, and over F_q(s) in x as skew.CenterPoly.
 
-    The arithmetic is written once, here, and builds its results with
-    type(self).  A subclass changes the coefficient field only through
-    the hook `_coeff_zero`, `_coeff_one` and `_coeff_from_int`, each
-    called with the FieldSpec.  The zero polynomial has degree -1
-    (sentinel).  Trailing zero coefficients are stripped on construction.
+    `_c` holds the raw coefficients, with no trailing zero: packed ints
+    in FqElem's layout here, RatFun objects in CenterPoly; `coeffs`,
+    `coeff(i)` and `leading()` give field elements, and `CPoly(spec,
+    coeffs)` takes them.  The arithmetic is written once, here, over the
+    operators of the coefficient ring that the one hook `_ring(spec)`
+    returns: the FieldSpec itself here, a RatFunRing in CenterPoly.
+    `frobenius`, `norm_to_prime`, `in_prime_field`, `shift_var` and
+    `evaluate` read packed ints: they belong to F_q[s] alone.  The zero
+    polynomial has degree -1 (sentinel).
     """
 
-    __slots__ = ("spec", "coeffs")
+    __slots__ = ("spec", "_c")
 
-    _coeff_zero = staticmethod(FieldSpec.zero)
-    _coeff_one = staticmethod(FieldSpec.one)
-    _coeff_from_int = staticmethod(FieldSpec.from_int)
+    _ring = staticmethod(lambda spec: spec)
 
     def __init__(self, spec, coeffs):
-        coeffs = list(coeffs)
-        while coeffs and coeffs[-1].is_zero():
-            coeffs.pop()
+        raw = self._ring(spec)._raw
+        c = [raw(e) for e in coeffs]
+        while c and not c[-1]:
+            c.pop()
         self.spec = spec
-        self.coeffs = tuple(coeffs)
+        self._c = tuple(c)
 
     @classmethod
     def zero(cls, spec):
-        return cls(spec, ())
+        return _poly(cls, spec, ())
 
     @classmethod
     def one(cls, spec):
-        return cls(spec, (cls._coeff_one(spec),))
+        return _poly(cls, spec, (cls._ring(spec)._raw_one,))
 
     @classmethod
     def s(cls, spec):
-        return cls(spec, (spec.zero(), spec.one()))
+        R = cls._ring(spec)
+        return _poly(cls, spec, (R._raw_zero, R._raw_one))
 
     @classmethod
     def from_ints(cls, spec, ints):
@@ -412,87 +440,98 @@ class CPoly:
 
     @classmethod
     def monomial(cls, spec, coeff, exp):
-        return cls(spec, (spec.zero(),) * exp + (coeff,))
+        R = cls._ring(spec)
+        return _poly(cls, spec, (R._raw_zero,) * exp + (R._raw(coeff),))
+
+    @property
+    def coeffs(self):
+        """The coefficients as field elements, lowest degree first."""
+        return tuple(map(self._ring(self.spec)._view, self._c))
 
     @property
     def degree(self):
-        return len(self.coeffs) - 1
+        return len(self._c) - 1
 
     def is_zero(self):
-        return not self.coeffs
+        return not self._c
 
     def is_one(self):
-        return len(self.coeffs) == 1 and self.coeffs[0].is_one()
+        return self._c == (self._ring(self.spec)._raw_one,)
 
     def leading(self):
-        if not self.coeffs:
+        if not self._c:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return self._ring(self.spec)._view(self._c[-1])
 
     def coeff(self, i):
-        if i < len(self.coeffs):
-            return self.coeffs[i]
-        return self._coeff_zero(self.spec)
+        R = self._ring(self.spec)
+        return R._view(self._c[i] if i < len(self._c) else R._raw_zero)
 
     def __add__(self, other):
-        a, b = self.coeffs, other.coeffs
+        a, b = self._c, other._c
         if len(a) < len(b):
             a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return type(self)(self.spec, out)
+        out = list(map(self._ring(self.spec)._add, a, b))
+        out += a[len(b):]
+        return _poly(type(self), self.spec, out)
 
     def __sub__(self, other):
-        n = max(len(self.coeffs), len(other.coeffs))
-        z = self._coeff_zero(self.spec)
-        out = [(self.coeffs[i] if i < len(self.coeffs) else z)
-               - (other.coeffs[i] if i < len(other.coeffs) else z)
-               for i in range(n)]
-        return type(self)(self.spec, out)
+        return self + -other
 
     def __neg__(self):
-        return type(self)(self.spec, tuple(-c for c in self.coeffs))
+        return _poly(type(self), self.spec,
+                     tuple(map(self._ring(self.spec)._neg, self._c)))
 
     def __mul__(self, other):
         """Product; `other` is a polynomial of the same class or, if it is
         not a CPoly, a coefficient scalar."""
-        cls = type(self)
+        cls, spec = type(self), self.spec
+        R = self._ring(spec)
+        mul = R._mul
         if not isinstance(other, CPoly):
-            return cls(self.spec, tuple(c * other for c in self.coeffs))
-        if self.is_zero() or other.is_zero():
-            return cls.zero(self.spec)
-        z = self._coeff_zero(self.spec)
-        out = [z] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, x in enumerate(self.coeffs):
-            if x.is_zero():
+            s = R._raw(other)
+            return _poly(cls, spec, [mul(c, s) for c in self._c])
+        a, b = self._c, other._c
+        if not a or not b:
+            return _poly(cls, spec, ())
+        if len(a) == len(b) == 1:
+            return _poly(cls, spec, (mul(a[0], b[0]),))
+        add = R._add
+        out = [R._raw_zero] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if not x:
                 continue
-            for j, y in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + x * y
-        return cls(self.spec, out)
+            for j, y in enumerate(b, i):
+                out[j] = add(out[j], mul(x, y))
+        return _poly(cls, spec, out)
 
     def __pow__(self, e):
         return power(self, e, lambda: type(self).one(self.spec))
 
     def divmod(self, other):
-        if other.is_zero():
+        """(quotient, remainder); a monic divisor takes no inverse."""
+        b = other._c
+        if not b:
             raise ZeroDivisionError("polynomial division by zero")
-        cls = type(self)
-        if self.degree < other.degree:
-            return cls.zero(self.spec), self
-        rem = list(self.coeffs)
-        dlc = other.leading().inverse()
-        dd = other.degree
-        quot = [self._coeff_zero(self.spec)] * (len(rem) - dd)
+        cls, spec = type(self), self.spec
+        dd = len(b) - 1
+        if len(self._c) <= dd:
+            return _poly(cls, spec, ()), self
+        R = self._ring(spec)
+        add, neg, mul = R._add, R._neg, R._mul
+        rem = list(self._c)
+        dlc = None if b[-1] == R._raw_one else R._inv(b[-1])
+        quot = [R._raw_zero] * (len(rem) - dd)
         for k in range(len(rem) - 1, dd - 1, -1):
             c = rem[k]
-            if c.is_zero():
+            if not c:
                 continue
-            q = c * dlc
+            q = c if dlc is None else mul(c, dlc)
             quot[k - dd] = q
+            q = neg(q)
             for i in range(dd + 1):
-                rem[k - dd + i] = rem[k - dd + i] - q * other.coeffs[i]
-        return cls(self.spec, quot), cls(self.spec, rem)
+                rem[k - dd + i] = add(rem[k - dd + i], mul(q, b[i]))
+        return _poly(cls, spec, quot), _poly(cls, spec, rem)
 
     def __floordiv__(self, other):
         return self.divmod(other)[0]
@@ -507,9 +546,13 @@ class CPoly:
         return q
 
     def monic(self):
-        if self.is_zero():
+        if not self._c:
             return self
-        return self * self.leading().inverse()
+        R = self._ring(self.spec)
+        lc = self._c[-1]
+        if lc == R._raw_one:
+            return self
+        return self * R._view(R._inv(lc))
 
     def gcd(self, other):
         """Monic greatest common divisor; gcd(a, 0) = monic(a)."""
@@ -540,11 +583,10 @@ class CPoly:
         return (self * other).exact_div(self.gcd(other)).monic()
 
     def derivative(self):
-        spec = self.spec
-        out = []
-        for i in range(1, len(self.coeffs)):
-            out.append(self.coeffs[i] * self._coeff_from_int(spec, i))
-        return type(self)(spec, out)
+        c = self._c
+        R = self._ring(self.spec)
+        return _poly(type(self), self.spec,
+                     [R._mul(c[i], R._raw_int(i)) for i in range(1, len(c))])
 
     def evaluate(self, x):
         """Horner evaluation at x (an FqElem of any compatible field)."""
@@ -553,11 +595,16 @@ class CPoly:
             acc = acc * x + lift_element(c, x.spec)
         return acc
 
-    def map_coeffs(self, fn):
-        return type(self)(self.spec, tuple(fn(c) for c in self.coeffs))
-
     def frobenius(self, i=1):
-        return self.map_coeffs(lambda c: c.frobenius(i))
+        if i < 0:
+            raise ValueError("frobenius exponent must be nonnegative")
+        spec = self.spec
+        i %= spec.ell
+        if not i:
+            return self
+        p, e, pw = spec.p, spec.p ** i, spec._pow
+        return _poly(type(self), spec,
+                     [c if c < p else pw(c, e) for c in self._c])
 
     def norm_to_prime(self):
         """Product of all ell Frobenius conjugates; lies in F_p[s]."""
@@ -567,26 +614,26 @@ class CPoly:
         return out
 
     def in_prime_field(self):
-        return all(c.in_prime_field() for c in self.coeffs)
+        return not self._c or max(self._c) < self.spec.p
 
     def shift_var(self, a):
         """Substitute s -> s + a."""
         spec = self.spec
         res = CPoly.zero(spec)
-        base = CPoly(spec, (a, spec.one()))
-        for c in reversed(self.coeffs):
-            res = res * base + CPoly.constant(c)
+        base = _poly(CPoly, spec, (a.packed, 1))
+        for c in reversed(self._c):
+            res = res * base + _poly(CPoly, spec, (c,))
         return res
 
     def __eq__(self, other):
-        return (type(other) is type(self) and self.spec == other.spec
-                and self.coeffs == other.coeffs)
+        return (type(other) is type(self) and self._c == other._c
+                and (self.spec is other.spec or self.spec == other.spec))
 
     def __hash__(self):
-        return hash((self.spec, self.coeffs))
+        return hash((self.spec, self._c))
 
     def __repr__(self):
-        if self.is_zero():
+        if not self._c:
             return "0"
         parts = []
         for i, c in enumerate(self.coeffs):
@@ -600,6 +647,16 @@ class CPoly:
         return " + ".join(parts)
 
 
+def _poly(cls, spec, c):
+    """A `cls` polynomial from raw coefficients, trailing zeros stripped."""
+    while c and not c[-1]:
+        c = c[:-1]
+    f = _new(cls)
+    f.spec = spec
+    f._c = tuple(c)
+    return f
+
+
 def lift_element(c, spec):
     """Lift a prime-field FqElem into another field of the same p."""
     if c.spec == spec:
@@ -610,7 +667,10 @@ def lift_element(c, spec):
 
 
 def lift_cpoly(f, spec):
-    return CPoly(spec, tuple(lift_element(c, spec) for c in f.coeffs))
+    """f into another F_q[s] of the same p, where F_p's k packs to k."""
+    if f.spec != spec and not f.in_prime_field():
+        raise ValueError("cannot lift non-prime-field element between specs")
+    return _poly(CPoly, spec, f._c)
 
 
 # ---------------------------------------------------------------------------
@@ -624,13 +684,13 @@ class RatFun:
 
     def __init__(self, num, den=None, _canonical=False):
         if den is None:
-            den = CPoly.one(num.spec)
-        if den.is_zero():
+            den = _poly(CPoly, num.spec, (1,))
+        if not den._c:
             raise ZeroDivisionError("zero denominator")
         if not _canonical:
-            if den.degree == 0:
-                if not den.coeffs[0].is_one():
-                    num = num * den.coeffs[0].inverse()
+            if len(den._c) == 1:
+                if den._c != (1,):
+                    num = num * den.leading().inverse()
                     den = CPoly.one(num.spec)
             else:
                 g = num.gcd(den)
@@ -669,20 +729,23 @@ class RatFun:
     def constant(cls, value):
         return cls(CPoly.constant(value), _canonical=True)
 
+    def __bool__(self):
+        return bool(self.num._c)
+
     def is_zero(self):
-        return self.num.is_zero()
+        return not self.num._c
 
     def is_one(self):
-        return self.num.is_one() and self.den.is_one()
+        return self.num._c == (1,) and self.den._c == (1,)
 
     def is_polynomial(self):
-        return self.den.is_one()
+        return self.den._c == (1,)
 
     def in_prime_field(self):
         return self.num.in_prime_field() and self.den.in_prime_field()
 
     def __add__(self, other):
-        if self.den.is_one() and other.den.is_one():
+        if self.den._c == (1,) and other.den._c == (1,):
             return RatFun(self.num + other.num, _canonical=True)
         if self.den == other.den:
             return RatFun(self.num + other.num, self.den)
@@ -690,7 +753,7 @@ class RatFun:
                       self.den * other.den)
 
     def __sub__(self, other):
-        if self.den.is_one() and other.den.is_one():
+        if self.den._c == (1,) and other.den._c == (1,):
             return RatFun(self.num - other.num, _canonical=True)
         if self.den == other.den:
             return RatFun(self.num - other.num, self.den)
@@ -701,7 +764,7 @@ class RatFun:
         return RatFun(-self.num, self.den, _canonical=True)
 
     def __mul__(self, other):
-        if self.den.is_one() and other.den.is_one():
+        if self.den._c == (1,) and other.den._c == (1,):
             return RatFun(self.num * other.num, _canonical=True)
         return RatFun(self.num * other.num, self.den * other.den)
 
@@ -729,9 +792,24 @@ class RatFun:
         return hash((self.num, self.den))
 
     def __repr__(self):
-        if self.den.is_one():
+        if self.den._c == (1,):
             return repr(self.num)
         return "(%s) / (%s)" % (repr(self.num), repr(self.den))
+
+
+class RatFunRing:
+    """F_q(s) as the coefficient ring of skew.CenterPoly: RatFun's
+    operators under the names of FieldSpec's packed-int ones, with the
+    RatFun itself as the raw coefficient."""
+
+    _add, _neg, _mul = operator.add, operator.neg, operator.mul
+    _inv = operator.methodcaller("inverse")
+    _raw = _view = staticmethod(lambda c: c)
+
+    def __init__(self, spec):
+        self._raw_zero = RatFun.zero(spec)
+        self._raw_one = RatFun.one(spec)
+        self._raw_int = lambda n: RatFun.from_int(spec, n)
 
 
 def prime_coords(rf):
@@ -750,12 +828,10 @@ def prime_coords(rf):
     den2 = rf.den * cof  # = Norm(den), lies in F_p[s]
     if not den2.in_prime_field():
         raise AssertionError("norm denominator not in prime field")
-    out = []
-    z = spec.zero()
-    for k in range(ell):
-        comp = CPoly(spec, tuple(spec.from_int(c.coeffs[k]) for c in num2.coeffs))
-        out.append(RatFun(comp, den2))
-    return out
+    w, mask = spec._w, spec._slot_mask
+    return [RatFun(_poly(CPoly, spec, [(c >> (w * k)) & mask
+                                       for c in num2._c]), den2)
+            for k in range(ell)]
 
 
 # ---------------------------------------------------------------------------
@@ -950,6 +1026,6 @@ def _dot(u, v):
     with a zero factor are skipped."""
     acc = CPoly.zero(u[0].spec)
     for a, b in zip(u, v):
-        if a.coeffs and b.coeffs:
+        if a._c and b._c:
             acc = acc + a * b
     return acc

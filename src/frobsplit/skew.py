@@ -4,7 +4,9 @@ into M_{n*ell}(F_q(F^ell)), minimal polynomials over the center, and
 constructive inversion via central multipliers.
 """
 
-from .fields import (CPoly, RatFun, char_poly, mat_mul, power,
+from functools import cache
+
+from .fields import (CPoly, RatFun, RatFunRing, char_poly, mat_mul, power,
                      prime_coords, rref, rref_kernel, solve_linear)
 from .ore import OrePoly
 
@@ -390,13 +392,11 @@ def right_kernel(M):
 class CenterPoly(CPoly):
     """Polynomial in x with coefficients in F_q(s); the public pipeline
     only produces instances whose coefficients lie in F_p(s).  All of
-    its arithmetic is CPoly's; this class sets the coefficient field."""
+    its arithmetic is CPoly's; the ring hook sets the coefficient field."""
 
     __slots__ = ()
 
-    _coeff_zero = staticmethod(RatFun.zero)
-    _coeff_one = staticmethod(RatFun.one)
-    _coeff_from_int = staticmethod(RatFun.from_int)
+    _ring = staticmethod(cache(RatFunRing))
 
     @classmethod
     def x(cls, spec):
@@ -408,6 +408,9 @@ class CenterPoly(CPoly):
 
     def constant_term(self):
         return self.coeff(0)
+
+    def in_prime_field(self):
+        return all(c.in_prime_field() for c in self._c)
 
     def assert_prime_field(self):
         if not self.in_prime_field():
