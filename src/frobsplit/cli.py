@@ -16,6 +16,7 @@ certificate/problem digest mismatch, 4 certificate verification failure
 import argparse
 import hashlib
 import sys
+from functools import cache
 
 from . import __version__
 from .fields import FieldSpec
@@ -660,7 +661,9 @@ def cmd_tools(args, out):
     raise CLIError("unknown tool %r" % sub)
 
 
+@cache
 def build_parser():
+    """The argument parser, built once per process; `main` only reads it."""
     parser = argparse.ArgumentParser(
         prog="frobsplit",
         description="Exact trichotomy engine for additive endomorphisms "

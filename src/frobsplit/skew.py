@@ -1,7 +1,11 @@
 """The skew field K = F_q[F] tensored with F_p(F^ell) over F_p[F^ell],
 matrices over it, division-ring Gaussian elimination, the tilde embedding
-into M_{n*ell}(F_q(F^ell)), minimal polynomials over the center, and
-constructive inversion via central multipliers.
+into M_{n*ell}(F_q(F^ell)), and minimal polynomials over the center.
+
+K is an ell-dimensional vector space over F_q(s), s = F^ell, and tilde is
+its regular representation: an element is inverted by one linear solve
+against its tilde matrix, and a central multiplier Q * P = c(F^ell) of an
+Ore polynomial P is read off P^{-1} by clearing its central denominators.
 """
 
 from functools import cache
@@ -60,10 +64,10 @@ class SkewElem:
         return cls(spec, parts)
 
     def is_zero(self):
-        return all(a.is_zero() for a in self.parts)
+        return not any(self.parts)
 
     def is_one(self):
-        return self.parts[0].is_one() and all(a.is_zero() for a in self.parts[1:])
+        return self.parts[0].is_one() and not any(self.parts[1:])
 
     def __add__(self, other):
         return SkewElem(self.spec, tuple(a + b for a, b in
@@ -126,14 +130,22 @@ class SkewElem:
         return OrePoly.from_parts(self.spec, [a.num for a in self.parts])
 
     def inverse(self):
-        """Two-sided inverse in the skew field K."""
+        """Two-sided inverse in the skew field K: the row y with
+        y * tilde(self) = (1, 0, ..., 0), that is y * self = 1, read as
+        an element; a left inverse is two-sided in a division ring."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero in K")
-        c, P = self.clear_central()
-        Q, gamma = central_multiplier(P)
-        # Q * P = gamma(F^ell)  =>  inverse = (c / gamma)(s) * Q
-        scale = RatFun(c) / RatFun(gamma)
-        return SkewElem.from_ore(Q).scale_central(scale)
+        spec = self.spec
+        ell = spec.ell
+        if ell == 1:
+            return SkewElem(spec, (self.parts[0].inverse(),))
+        T = tilde(SkewMatrix(spec, [[self]]))
+        y = solve_linear([[T[j][i] for j in range(ell)] for i in range(ell)],
+                         [RatFun.one(spec)] + [RatFun.zero(spec)] * (ell - 1))
+        if y is None:
+            raise SplitSelfCheckError("tilde of a nonzero element of K is "
+                                      "not invertible")
+        return SkewElem(spec, y)
 
     def __eq__(self, other):
         return (isinstance(other, SkewElem) and self.spec == other.spec
@@ -277,45 +289,18 @@ def tilde(A):
 
 
 # ---------------------------------------------------------------------------
-# central multipliers and inverses
+# central multipliers
 
 def central_multiplier(P):
     """For nonzero P in F_q[F], find Q in F_q[F] and nonzero c in F_p[s]
-    with Q * P = c(F^ell)."""
+    with Q * P = c(F^ell): Q = c * P^{-1}, with c clearing the central
+    denominators of P^{-1} in K."""
     if P.is_zero():
         raise ValueError("central multiplier of zero")
-    spec = P.spec
-    ell = spec.ell
-    if ell == 1:
-        # F_q[F] is already commutative with center F_p[F]
-        lc = P.coeffs[-1]
-        Q = OrePoly.constant(lc.inverse())
-        return Q, (Q * P).center_decompose()[0]
-    Pt = tilde(SkewMatrix.from_ore(spec, [[P]]))
-    # solve (Q_0, ..., Q_{ell-1}) * Pt = (alpha, 0, ..., 0)
-    transposed = [[Pt[j][i] for j in range(ell)] for i in range(ell)]
-    rhs = [RatFun.one(spec)] + [RatFun.zero(spec)] * (ell - 1)
-    y = solve_linear(transposed, rhs)
-    if y is None:
-        raise SplitSelfCheckError("tilde of a nonzero Ore polynomial is "
-                                  "not invertible")
-    den = CPoly.one(spec)
-    for v in y:
-        if not v.den.is_one():
-            den = den.lcm(v.den)
-    parts = [v.num * den.exact_div(v.den) for v in y]
-    Q = OrePoly.from_parts(spec, parts)
-    # Q * P = d(F^ell) with d in F_q[s]; clear to the prime field by the
-    # norm: (prod_{j>=1} phi^j(d)) * d lies in F_p[s].
+    c, Q = SkewElem.from_ore(P).inverse().clear_central()
     d_parts = (Q * P).center_decompose()
-    if not all(a.is_zero() for a in d_parts[1:]):
-        raise SplitSelfCheckError("Q * P is not central")
-    d = d_parts[0]
-    cof = CPoly.one(spec)
-    for j in range(1, ell):
-        cof = cof * d.frobenius(j)
-    Q = OrePoly.from_parts(spec, [cof] + [CPoly.zero(spec)] * (ell - 1)) * Q
-    c = cof * d
+    if d_parts[0] != c or not all(a.is_zero() for a in d_parts[1:]):
+        raise SplitSelfCheckError("Q * P is not c(F^ell)")
     if not c.in_prime_field() or c.is_zero():
         raise SplitSelfCheckError("central multiplier is not a nonzero "
                                   "element of F_p[s]")
@@ -416,13 +401,6 @@ class CenterPoly(CPoly):
         if not self.in_prime_field():
             raise ValueError("coefficients do not lie in F_p(s)")
         return self
-
-    def evaluate(self, x):
-        """Horner evaluation at a RatFun."""
-        acc = RatFun.zero(self.spec)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
 
     def evaluate_matrix(self, A):
         """Q(A) for a square SkewMatrix A; coefficients act centrally."""

@@ -415,20 +415,21 @@ def _col_rank(vecs, n):
     return len(rref([[v[i] for v in vecs] for i in range(n)], len(vecs))[1])
 
 
-def jordan_form_central(A0, mp=None):
+def jordan_form_central(A0, factors=None):
     """Jordan form of a SkewMatrix whose minimal polynomial splits into
-    (x - s^k)^e factors over F_p(s).  `mp` is that minimal polynomial
-    when the caller already knows it; it is computed otherwise.
+    (x - s^k)^e factors over F_p(s).  `factors` holds the (factor,
+    multiplicity) pairs of that minimal polynomial when the caller
+    already knows them; they are computed otherwise.
 
     Returns (Pj, Pj_inv, blocks) with Pj invertible, Pj^{-1}*A0*Pj
     exactly the Jordan matrix, and blocks a list of (exponent k, size)
     pairs."""
     spec = A0.spec
     n = A0.rows
-    if mp is None:
-        mp = min_poly_center(A0)
+    if factors is None:
+        factors = factor_center(min_poly_center(A0))
     eigen = []
-    for gfac, mult in factor_center(mp):
+    for gfac, mult in factors:
         if gfac.degree != 1:
             raise ValueError("non-central eigenvalue data (nonlinear factor)")
         root = -gfac.coeff(0)
@@ -623,9 +624,11 @@ def split_endomorphism(A, cap=512):
                 and C.submatrix(N0, N, 0, N0).is_zero()):
             raise SplitSelfCheckError("off-diagonal blocks are not zero")
     # Jordanize the Frobenius part, then power up to pure diagonal; B
-    # restricted to ker r0(B) has minimal polynomial r0
+    # restricted to ker r0(B) has minimal polynomial r0, whose factors
+    # are the Frobenius ones of r
     if N0 > 0:
-        Pj, Pj_inv, jblocks = jordan_form_central(A0_pre, mp=r0)
+        Pj, Pj_inv, jblocks = jordan_form_central(
+            A0_pre, [f for f, cls in zip(facs, classes) if cls.is_frobenius()])
     else:
         Pj = Pj_inv = SkewMatrix.zero(spec, 0, 0)
         jblocks = []

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from frobsplit import split
 from frobsplit.fields import CPoly, FieldSpec, RatFun
 from frobsplit.ore import OrePoly, parse_ore
 from frobsplit.skew import CenterPoly, SkewElem, SkewMatrix, min_poly_center
@@ -146,6 +147,30 @@ def test_jordan_form_central():
                          SkewElem.from_ratfun(sr * sr)]])
     _, _, blocks = jordan_form_central(D)
     assert sorted(blocks) == [(1, 1), (2, 1)]
+
+
+def test_jordan_form_central_takes_known_factors():
+    sr = RatFun.s(F2)
+    z, o = SkewElem.zero(F2), SkewElem.one(F2)
+    s1, s2 = SkewElem.from_ratfun(sr), SkewElem.from_ratfun(sr * sr)
+    for A0 in (SkewMatrix(F2, [[s1, o], [z, s1]]),
+               SkewMatrix(F2, [[s1, z, z], [z, s2, o], [z, z, s2]])):
+        factors = factor_center(min_poly_center(A0))
+        expected = jordan_form_central(A0)
+        assert jordan_form_central(A0, factors) == expected
+        assert jordan_form_central(A0, factors[::-1]) == expected
+
+
+def test_split_factors_each_minimal_polynomial_once(monkeypatch):
+    # the Jordan step reuses the power-up loop's factors of r: one
+    # factor_center call per round (F over F_4 needs n = 2, two rounds)
+    calls = []
+    real = split.factor_center
+    monkeypatch.setattr(split, "factor_center",
+                        lambda r: calls.append(r) or real(r))
+    sp = split_endomorphism([[OrePoly.F(F4)]])
+    assert sp.n == 2 and sp.blocks == [(1, 1)]
+    assert len(calls) == 2
 
 
 def test_power_up():
