@@ -214,7 +214,10 @@ def brute_force_intersection(V, Gamma, bound, cap=100000):
 
 class LambdaEqInstance:
     """The equation lambda^m = c_0 + sum_{i=1}^r c_i t^(n_i) over a
-    finite-extension representation of F_p(t)."""
+    finite-extension representation of F_p(t).
+
+    `last_power` is the last power handed out by `power`, as
+    (m, lambda^m); it starts at (0, 1)."""
 
     def __init__(self, lam, c):
         if not isinstance(lam, MRatFun) or lam.nvars != 1:
@@ -227,6 +230,15 @@ class LambdaEqInstance:
         if self.r < 1:
             raise ValueError("c must list c_0 .. c_r with r >= 1")
         self.spec = lam.spec
+        self.last_power = (0, MRatFun.one(lam.spec, 1))
+
+    def power(self, m):
+        """lambda^m: one product when m follows the last power handed
+        out, as in a sweep over m = 1, 2, ...; else a fresh power."""
+        last_m, last = self.last_power
+        lm = last * self.lam if m == last_m + 1 else self.lam ** m
+        self.last_power = (m, lm)
+        return lm
 
     def __repr__(self):
         return "LambdaEqInstance(lambda=%r, c=%r)" % (self.lam, self.c)
@@ -265,15 +277,22 @@ def _solve_terms(terms, coeffs, nmax, spec):
 
 
 def solve_lambda_eq(inst, m):
-    """All tuples (n_1..n_r) of positive integers with
-    lambda^m = c_0 + sum c_i t^(n_i); the search is bounded by degree
-    comparison (no solution exponent can exceed the degrees involved)."""
+    """The tuples (n_1..n_r) of positive integers with
+    lambda^m = c_0 + sum c_i t^(n_i) and every n_i <= nmax, where nmax
+    is the largest exponent of lambda^m - c_0 (1 if there is none).
+
+    This is not every solution when some of c_1..c_r sum to zero: terms
+    above nmax may cancel among themselves (over F_3, lambda = t,
+    c = (0, 1, 1, 2), m = 2 is solved by (2, n, n) for every n).  The
+    answer to "is m solvable" is still exact: in a solution, the terms
+    with n_i > nmax cancel in groups of equal exponent, so moving each
+    such n_i to 1 adds zero and leaves a solution within the bound."""
     if m < 1:
         raise ValueError("exponent m must be >= 1")
     if inst.r > 3:
         raise CapacityError("lambda equation with r = %d terms; the solver "
                             "handles r <= 3" % inst.r)
-    lm = inst.lam ** m
+    lm = inst.power(m)
     if not lm.is_polynomial():
         return []
     spec = inst.spec

@@ -8,7 +8,10 @@ graded-lexicographic order is 1.  Equality of fractions is decided by
 cross multiplication (no multivariate gcd, by design).
 """
 
-from .fields import FieldSpec, FqElem, lift_element, rref, rref_kernel
+import operator
+
+from .fields import (FieldSpec, FqElem, _elem, lift_element, rref,
+                     rref_kernel)
 
 
 def _grlex_key(exps):
@@ -82,15 +85,20 @@ class MPoly:
         if isinstance(other, FqElem):
             return MPoly(self.spec, self.nvars,
                          {e: c * other for e, c in self.terms.items()})
+        # on the packed ints of the coefficients, wrapped once at the end
+        spec = self.spec
+        mul, add, plus = spec._mul, spec._add, operator.add
         out = {}
         for e1, c1 in self.terms.items():
+            x = c1.packed
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                if e in out:
-                    out[e] = out[e] + c1 * c2
-                else:
-                    out[e] = c1 * c2
-        return MPoly(self.spec, self.nvars, out)
+                e = tuple(map(plus, e1, e2))
+                v = mul(x, c2.packed)
+                out[e] = add(out[e], v) if e in out else v
+        prod = MPoly.__new__(MPoly)
+        prod.spec, prod.nvars = spec, self.nvars
+        prod.terms = {e: _elem(spec, v) for e, v in out.items() if v}
+        return prod
 
     def __pow__(self, e):
         """Power via base-p expansion so the p-power steps stay termwise."""

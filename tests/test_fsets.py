@@ -113,6 +113,21 @@ def test_solve_lambda_eq():
         LambdaEqInstance(MRatFun.zero(F2, 1), [F2.one(), F2.one()])
 
 
+def test_solve_lambda_eq_returns_the_tuples_within_the_bound():
+    # over F_3, t^2 = t^n1 + t^n2 + 2 t^n3 is also solved by (2, n, n) for
+    # every n: the last two terms cancel.  Only n_i <= nmax = 2 is listed,
+    # and m = 2 is still reported solvable.
+    F3 = FieldSpec.get(3, 1)
+    t = var(F3)
+    c = [F3.from_int(x) for x in (0, 1, 1, 2)]
+    inst = LambdaEqInstance(t, c)
+    assert solve_lambda_eq(inst, 2) == [(1, 2, 1), (2, 1, 1), (2, 2, 2)]
+    for n in (3, 5, 9):
+        rhs = sum((t ** n_i * c_i for c_i, n_i in zip(c[1:], (2, n, n))),
+                  const(F3, 0))
+        assert rhs == t ** 2
+
+
 def test_lambda_density_sparse_and_control():
     t = var(F2)
     inst = LambdaEqInstance(t + const(F2, 1), [F2.one(), F2.one()])

@@ -1,5 +1,6 @@
 """`--trace 1` guard: perfbench's per-layer tracer, installed over the
-engine, on one B and one C problem run through `cli.main`.
+engine, on one B and one C problem run through `cli.main`, and on the
+three `tools` calls of the fset-lab workload.
 
 The tracer wraps named methods in their own classes and named functions
 in every module that binds them.  A change of representation that moves
@@ -51,6 +52,30 @@ entry_2_2 = 0
 d = 1
 """
 
+LAMBDA_PROBLEM = """\
+[field]
+p = 3
+ell = 1
+
+[lambda]
+lambda = t1 + 1
+c = 1 ; 1
+"""
+
+FSET_PROBLEM = """\
+[field]
+p = 3
+ell = 1
+
+[fset]
+gamma0 = 1
+gamma_1 = 2*t1
+k_1 = 1
+b = 3
+module_bound = 1
+include_zero = false
+"""
+
 FIRING = ("fields.CPoly.mul.calls", "fields.CPoly.divmod.calls",
           "fields.CPoly.gcd.calls", "fields.RatFun.mul.calls")
 
@@ -65,8 +90,9 @@ def load_tracer():
     return module
 
 
-def test_traced_b_and_c_problems_fire_the_counters_and_uninstall(tmp_path):
-    tracer = load_tracer()
+def originals(tracer):
+    """The counted methods and every callable module binding of the
+    engine, to check that uninstall restores them."""
     methods = {}
     for modname, cls, meth, _ in tracer.COUNTERS:
         klass = getattr(sys.modules["frobsplit." + modname], cls)
@@ -77,6 +103,19 @@ def test_traced_b_and_c_problems_fire_the_counters_and_uninstall(tmp_path):
                 if name.startswith("frobsplit")
                 for attr, value in list(vars(mod).items())
                 if callable(value)}
+    return methods, bindings
+
+
+def assert_restored(methods, bindings):
+    for (klass, meth), orig in methods.items():
+        assert klass.__dict__[meth] is orig, (klass.__name__, meth)
+    for (mod, attr), value in bindings.items():
+        assert getattr(mod, attr) is value, (mod.__name__, attr)
+
+
+def test_traced_b_and_c_problems_fire_the_counters_and_uninstall(tmp_path):
+    tracer = load_tracer()
+    methods, bindings = originals(tracer)
     t = tracer.Tracer()
     t.install()
     try:
@@ -96,7 +135,36 @@ def test_traced_b_and_c_problems_fire_the_counters_and_uninstall(tmp_path):
     for metric in FIRING:
         assert summary[metric] > 0, metric
     assert summary["split.split_endomorphism.calls"] == 2
-    for (klass, meth), orig in methods.items():
-        assert klass.__dict__[meth] is orig, (klass.__name__, meth)
-    for (mod, attr), value in bindings.items():
-        assert getattr(mod, attr) is value, (mod.__name__, attr)
+    assert_restored(methods, bindings)
+
+
+def test_traced_fset_lab_tools_fire_the_expected_spans(tmp_path):
+    # the CLI must reach fsets.solve_lambda_eq once per m: a route around
+    # it leaves an EXPECTED span of the fset-lab workload unfired
+    tracer = load_tracer()
+    methods, bindings = originals(tracer)
+    lam = tmp_path / "lambda.txt"
+    fset = tmp_path / "fset.txt"
+    lam.write_text(LAMBDA_PROBLEM)
+    fset.write_text(FSET_PROBLEM)
+    M = 12
+    t = tracer.Tracer()
+    t.install()
+    try:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            codes = [main(["tools", "lambda-density", str(lam),
+                           "--M", str(M)]),
+                     main(["tools", "fset", str(fset)]),
+                     main(["tools", "independence", str(lam),
+                           "--M", "2", "--D", "2"])]
+    finally:
+        t.uninstall()
+    assert codes == [0, 0, 0]
+    # (t + 1)^m = 1 + t^n over F_3 exactly for m = 1, 3, 9
+    assert "count = 3/%d" % M in out.getvalue()
+    summary = t.summary()
+    assert t.missing("fset-lab", summary) == []
+    assert summary["fsets.solve_lambda_eq.calls"] == M
+    assert summary["mrat.MPoly.mul.calls"] > 0
+    assert_restored(methods, bindings)
