@@ -11,7 +11,8 @@ holds and produce a certificate.
 
 import random
 
-from .fields import FieldSpec, RatFun, mat_mul, power, rref, rref_kernel
+from .fields import (FieldSpec, RatFun, mat_mul, power, rref, rref_kernel,
+                     rref_packed)
 from .fqfactor import embedding, monic_irreducibles
 from .mrat import MPoly, MRatFun, fp_kernel, linearize_fractions
 from .ore import OrePoly
@@ -385,12 +386,13 @@ def density_check(points, D, seed=0, trials=3):
     specialization certifies that no polynomial of degree <= D vanishes
     on all points (exact: a vanishing polynomial would force a singular
     specialization).  A rank-deficient kernel vector is only reported
-    after exact symbolic re-verification."""
+    after exact symbolic re-verification.  Every point is specialized
+    before a trial starts, so a pole at any of them forces a redraw."""
     if not points:
         raise ValueError("density check of an empty point set")
 
     def specialize(values, emb):
-        return [[c.evaluate(values, emb) for c in pt] for pt in points]
+        return [[c.evaluate(values, emb).packed for c in pt] for pt in points]
     return _density(points[0][0], len(points[0]), len(points), D, specialize,
                     lambda: points, seed, trials)
 
@@ -400,28 +402,83 @@ def density_check_orbit(A, alpha, M, D, seed=0, trials=3):
     before iterating.  The map is polynomial, so iteration commutes with
     specialization; this avoids the symbolic orbit, whose coordinates can
     grow exponentially in term count.  The symbolic orbit is only built
-    if a candidate vanishing polynomial must be re-verified."""
+    if a candidate vanishing polynomial must be re-verified.
+
+    Only alpha can hit a pole: A has no division, so the later points are
+    made lazily, and a trial that reaches full rank never makes the rest.
+    A's coefficients are embedded into the specialization field once."""
+    big = _specialization_field(alpha[0].spec)
+    embed = embedding(A.spec, big)
+    columns = []  # per column j: top F-degree, and (i, [(k, a_ijk)])
+    for j in range(A.N):
+        col = [A.entries[i][j] for i in range(A.N)]
+        columns.append((max(P.degree for P in col),
+                        [(i, [(k, embed(a).packed)
+                              for k, a in enumerate(P.coeffs)
+                              if not a.is_zero()])
+                         for i, P in enumerate(col) if not P.is_zero()]))
+
     def specialize(values, emb):
-        pts = [[c.evaluate(values, emb) for c in alpha]]
-        for _ in range(M - 1):
-            pts.append(A.apply(pts[-1]))
-        return pts
+        x = [c.evaluate(values, emb).packed for c in alpha]
+        return _packed_orbit(big, columns, x, M)
     return _density(alpha[0], A.N, M, D, specialize,
                     lambda: orbit(A, alpha, M), seed, trials)
+
+
+def _packed_orbit(big, columns, x, M):
+    """The M orbit points from x, as packed ints of `big`: sum_k a_ijk
+    x_j^(p^k) into coordinate i, with the powers x_j^(p^k) made by
+    repeated p-th powers up to column j's top degree, once per point."""
+    mul, add, pow_, p = big._mul, big._add, big._pow, big.p
+    yield x
+    for _ in range(M - 1):
+        out = [0] * len(x)
+        for (top, terms), v in zip(columns, x):
+            frob = [v]
+            for _ in range(top):
+                frob.append(pow_(frob[-1], p))
+            for i, t in terms:
+                acc = out[i]
+                for k, a in t:
+                    acc = add(acc, mul(a, frob[k]))
+                out[i] = acc
+        x = out
+        yield x
 
 
 def _density(coord, N, M, D, specialize, symbolic_points, seed, trials):
     """The density check of M points in N coordinates over F_q(t_1..):
     `coord` is one coordinate (for the field and the variable count),
-    `specialize(values, emb)` gives the points at one random assignment
-    of the variables in the specialization field (ZeroDivisionError at a
-    pole, and then another assignment is drawn), and `symbolic_points()`
-    the exact points, built only when a kernel vector must be verified."""
+    `specialize(values, emb)` gives the points, as lists of packed ints,
+    at one random assignment of the variables in the specialization field
+    (ZeroDivisionError at a pole, and then another assignment is drawn),
+    and `symbolic_points()` the exact points, built only when a kernel
+    vector must be verified.  Each trial reads points only until its
+    monomial rows reach full rank."""
     if M < 1 or D < 1:
         raise ValueError("density check needs M >= 1 and D >= 1")
     mons = _monomials(N, D)
     big = _specialization_field(coord.spec)
     emb = embedding(coord.spec, big)
+    mul = big._mul
+    factors = [[(v, e) for v, e in enumerate(m) if e] for m in mons]
+
+    def monomial_rows(pts):
+        for x in pts:
+            tables = []  # tables[v][e] = x_v^e
+            for v in x:
+                table = [1, v]
+                for _ in range(D - 1):
+                    table.append(mul(table[-1], v))
+                tables.append(table)
+            row = []
+            for fs in factors:
+                acc = 1
+                for v, e in fs:  # 1 * t = t: the first factor is no product
+                    acc = tables[v][e] if acc == 1 else mul(acc, tables[v][e])
+                row.append(acc)
+            yield row
+
     rng = random.Random(seed)
     ranks = []
     kernel_candidates = []
@@ -436,12 +493,12 @@ def _density(coord, N, M, D, specialize, symbolic_points, seed, trials):
         else:
             ranks.append(-1)
             continue
-        rows, pivots = rref([[_eval_monomial(pt, m, big) for m in mons]
-                             for pt in pts], len(mons))
+        rows, pivots = rref_packed(big, monomial_rows(pts), len(mons))
         ranks.append(len(pivots))
         if len(pivots) == len(mons):
             return DensityReport(M, D, "dense-up-to-D", trials=trial + 1,
                                  field_size=big.q, ranks=ranks)
+        rows = [[big._view(c) for c in row] for row in rows]
         kernel_candidates.extend(rref_kernel(rows, pivots, len(mons),
                                              big.zero(), big.one()))
     # rank deficient in every trial: try to certify a vanishing polynomial
@@ -454,14 +511,6 @@ def _density(coord, N, M, D, specialize, symbolic_points, seed, trials):
                                  field_size=big.q, ranks=ranks)
     return DensityReport(M, D, "dense-up-to-D", trials=trials,
                          field_size=big.q, ranks=ranks)
-
-
-def _eval_monomial(coord, m, big):
-    acc = big.one()
-    for v, e in zip(coord, m):
-        if e:
-            acc = acc * v ** e
-    return acc
 
 
 def _vanishes_symbolically(emb_pts, mons, vec, big):
@@ -555,4 +604,8 @@ def classify(A, d, density_M=20, density_D=2, seed=0, cap=512):
         return Verdict("C", cert, split, applicable)
     cert = witness_A(split, d, density_M=density_M, density_D=density_D,
                      seed=seed, A=A)
+    if not cert.report.is_dense():
+        raise CertificateSelfCheckError(
+            "witness orbit is not dense: %s, ranks %r"
+            % (cert.report.outcome, cert.report.ranks))
     return Verdict("A", cert, split, applicable)

@@ -874,6 +874,54 @@ def rref(rows, ncols):
     return rows, pivots
 
 
+def rref_packed(spec, rows, ncols):
+    """`rref` over F_q on rows of packed ints (FieldSpec's ring hooks),
+    read from an iterable one row at a time.
+
+    Each new row is reduced against the pivot rows found so far, kept in
+    insertion order with a leading 1 and zero at every earlier pivot
+    column; a row that stays nonzero becomes a pivot row at its first
+    nonzero column.  Reading stops as soon as the rank equals `ncols`, so
+    the rest of a lazy iterable is never built.  Returns (rows, pivots)
+    like `rref` without its zero rows: the pivot rows back-substituted
+    and sorted by pivot column.  The reduced row echelon form of a row
+    space is unique, so `rref_kernel` on it (wrapped with `spec._view`)
+    gives exactly the kernel vectors of `rref`."""
+    mul, add, neg = spec._mul, spec._add, spec._neg
+    basis = []  # (pivot column, row, its nonzero (column, entry) pairs)
+
+    def clear(row, pivot_rows):
+        for c, _, nonzero in pivot_rows:
+            f = row[c]
+            if f:
+                f = neg(f)
+                for j, y in nonzero:
+                    row[j] = add(row[j], mul(f, y))
+
+    for row in rows:
+        row = list(row)
+        clear(row, basis)
+        c = next((j for j in range(ncols) if row[j]), None)
+        if c is None:
+            continue
+        if row[c] != 1:
+            inv = spec._inv(row[c])
+            row = [mul(inv, x) if x else 0 for x in row]
+        basis.append((c, row, [(j, y) for j, y in enumerate(row) if y]))
+        if len(basis) == ncols:
+            # full column rank: the reduced form is the identity
+            return ([[int(i == j) for j in range(ncols)]
+                     for i in range(ncols)], list(range(ncols)))
+    # back-substitution, last pivot row first: each row is cleared at the
+    # pivot columns of the rows after it, which are already reduced
+    for k in range(len(basis) - 1, -1, -1):
+        c, row, _ = basis[k]
+        clear(row, basis[k + 1:])
+        basis[k] = (c, row, [(j, y) for j, y in enumerate(row) if y])
+    basis.sort(key=lambda b: b[0])
+    return [b[1] for b in basis], [b[0] for b in basis]
+
+
 def rref_kernel(rows, pivots, ncols, zero, one):
     """Basis of the right kernel of the first `ncols` columns, read off
     the output (rows, pivots) of `rref`: for each free column fc, the

@@ -10,7 +10,7 @@ cross multiplication (no multivariate gcd, by design).
 
 import operator
 
-from .fields import (FieldSpec, FqElem, _elem, lift_element, rref,
+from .fields import (FieldSpec, FqElem, _elem, lift_element, rref_packed,
                      rref_kernel)
 
 
@@ -285,11 +285,13 @@ def fp_kernel(matrix, p):
     ints in [0, p)."""
     if not matrix:
         return []
-    fp = FieldSpec.get(p, 1)
+    # over F_p an int mod p is its own packed form, and -x mod p is read
+    # off the plain negatives that rref_kernel writes at the pivots
     ncols = len(matrix[0])
-    rows, pivots = rref([[fp.from_int(x) for x in r] for r in matrix], ncols)
-    return [[c.coeffs[0] for c in v]
-            for v in rref_kernel(rows, pivots, ncols, fp.zero(), fp.one())]
+    rows, pivots = rref_packed(FieldSpec.get(p, 1),
+                               ([x % p for x in r] for r in matrix), ncols)
+    return [[x % p for x in v]
+            for v in rref_kernel(rows, pivots, ncols, 0, 1)]
 
 
 def linearize_fractions(funcs):

@@ -1,6 +1,6 @@
 """`--trace 1` guard: perfbench's per-layer tracer, installed over the
-engine, on one B and one C problem run through `cli.main`, and on the
-three `tools` calls of the fset-lab workload.
+engine, on one B, one C and one A problem run through `cli.main`, and on
+the three `tools` calls of the fset-lab workload.
 
 The tracer wraps named methods in their own classes and named functions
 in every module that binds them.  A change of representation that moves
@@ -47,6 +47,23 @@ entry_1_1 = 0
 entry_1_2 = [1,0]*F
 entry_2_1 = [1,0]*F
 entry_2_2 = 0
+
+[question]
+d = 1
+"""
+
+A_PROBLEM = """\
+[field]
+p = 2
+ell = 2
+modulus = [1,1,1]
+
+[map]
+n = 2
+entry_1_1 = F
+entry_1_2 = [0,1]
+entry_2_1 = 0
+entry_2_2 = 1 + F^2
 
 [question]
 d = 1
@@ -135,6 +152,33 @@ def test_traced_b_and_c_problems_fire_the_counters_and_uninstall(tmp_path):
     for metric in FIRING:
         assert summary[metric] > 0, metric
     assert summary["split.split_endomorphism.calls"] == 2
+    assert_restored(methods, bindings)
+
+
+def test_traced_a_problem_fires_the_witness_a_spans(tmp_path):
+    # classify and verify each run the density check once, through the
+    # module binding the tracer wraps, and each reaches full rank
+    tracer = load_tracer()
+    methods, bindings = originals(tracer)
+    problem = tmp_path / "problem-A.txt"
+    cert = tmp_path / "cert-A.txt"
+    problem.write_text(A_PROBLEM)
+    t = tracer.Tracer()
+    t.install()
+    try:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            codes = [main(["classify", str(problem), "--out", str(cert)]),
+                     main(["verify", str(cert), str(problem)])]
+    finally:
+        t.uninstall()
+    assert codes == [0, 0]
+    assert "verdict = A" in out.getvalue()
+    summary = t.summary()
+    assert t.missing("witness-a", summary) == []
+    assert summary["classify.density_check_orbit.calls"] == 2
+    assert summary["classify.density_check_orbit.full_rank_ratio"] == 1.0
+    assert summary["classify.density_check_orbit.trials"] == 2
     assert_restored(methods, bindings)
 
 
