@@ -13,7 +13,7 @@ from .skew import (SkewElem, SkewMatrix, CenterPoly, tilde,
 from .split import (FactorClassification, SplitData, factor_center,
                     classify_factor, split_endomorphism,
                     jordan_form_central, power_up, CapacityError,
-                    NonDominantError, UnknownClassificationError)
+                    NonDominantError)
 from .classify import (AdditiveMap, CertificateB,
                        CertificateC, DensityReport, WitnessA, Verdict,
                        classify, build_certificate_B, build_certificate_C,

@@ -578,13 +578,13 @@ def _self_check(A, cert):
         raise CertificateSelfCheckError(reason)
 
 
-def classify(A, d, density_M=20, density_D=2, seed=0, cap=512):
+def classify(A, d, density_M=20, density_D=2, seed=0):
     """Decide the trichotomy for a dominant AdditiveMap and d >= 1."""
     if not isinstance(A, AdditiveMap):
         A = AdditiveMap(A)
     if d < 1:
         raise ValueError("d must be >= 1")
-    split = split_endomorphism(A.to_skew(), cap=cap)
+    split = split_endomorphism(A.to_skew())
     applicable = set()
     if any(k == 0 for k, _ in split.blocks):
         applicable.add("B")

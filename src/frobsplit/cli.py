@@ -7,8 +7,11 @@ are word characters; values are exact textual forms of the objects
 `(num) / (den)` in variables t1, t2, ..., field literals as integers or
 bracketed vectors `[c0,c1,...]`).  Lists use ` ; ` separators.
 
-Exit codes: 0 ok, 1 parse/validation error, 2 classification bound
-exhausted (Unknown, or a degree/size cap of the engine), 3
+Exit codes: 0 ok, 1 parse/validation error, 2 a degree/size cap of the
+engine (the x- or s-degree of the central minimal polynomial, a p^e - 1
+with a factor past trial division to 2^20 while ordering a root of
+unity, the power-up rounds, a lambda with a denominator past degree
+2^10, a lambda equation with r > 3), 3
 certificate/problem digest mismatch, 4 certificate verification failure
 (including a certificate that fails its self-check inside classify).
 """
@@ -24,7 +27,7 @@ from .mrat import MPoly, MRatFun
 from .ore import OreParseError, format_ore, parse_ore, parse_field_literal
 from .skew import min_poly_center, tilde
 from .split import (CapacityError, NonDominantError, SplitSelfCheckError,
-                    UnknownClassificationError, split_endomorphism)
+                    split_endomorphism)
 from .classify import (AdditiveMap, CertificateB, CertificateC,
                        CertificateSelfCheckError, check_independence,
                        classify, construct_independent_points,
@@ -505,11 +508,7 @@ def cmd_classify(args, out):
     seed = args.seed if args.seed is not None else q.get("seed", 0)
     try:
         verdict = classify(A, d, density_M=density_m, density_D=density_d,
-                           seed=seed, cap=args.cap)
-    except UnknownClassificationError as exc:
-        print("error: classification bound exhausted: %r"
-              % exc.classification, file=out)
-        return 2
+                           seed=seed)
     except NonDominantError as exc:
         raise CLIError("map is not dominant: %s" % exc)
     cert_text = format_certificate(verdict, problem.digest)
@@ -571,11 +570,7 @@ def cmd_tools(args, out):
     if sub == "split":
         A = problem.additive_map().to_skew()
         try:
-            data = split_endomorphism(A, cap=args.cap)
-        except UnknownClassificationError as exc:
-            print("error: classification bound exhausted: %r"
-                  % exc.classification, file=out)
-            return 2
+            data = split_endomorphism(A)
         except NonDominantError as exc:
             raise CLIError("map is not dominant: %s" % exc)
         print("n = %d" % data.n, file=out)
@@ -678,8 +673,6 @@ def build_parser():
     pc.add_argument("--density-M", type=int, default=None, dest="density_M")
     pc.add_argument("--density-D", type=int, default=None, dest="density_D")
     pc.add_argument("--seed", type=int, default=None)
-    pc.add_argument("--cap", type=int, default=512,
-                    help="candidate bound for eigenvalue classification")
     pc.add_argument("--out", default=None, help="certificate output path")
 
     pv = subs.add_parser("verify", help="verify a certificate against "
@@ -696,7 +689,6 @@ def build_parser():
     pt.add_argument("--M", type=int, default=None)
     pt.add_argument("--D", type=int, default=2)
     pt.add_argument("--seed", type=int, default=None)
-    pt.add_argument("--cap", type=int, default=512)
     return parser
 
 

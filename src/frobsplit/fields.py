@@ -959,12 +959,6 @@ def kernel_basis(M):
                        RatFun.one(spec))
 
 
-def matrix_rank(M):
-    if not M:
-        return 0
-    return len(rref(M, len(M[0]))[1])
-
-
 def solve_linear(M, b):
     """One solution x of M x = b over RatFun, or None if inconsistent.
 
@@ -1005,10 +999,6 @@ def mat_mul(A, B):
             row.append(acc)
         out.append(row)
     return out
-
-
-def mat_add(A, B):
-    return [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
 
 
 def mat_identity(spec, n):

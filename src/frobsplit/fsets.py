@@ -11,8 +11,8 @@ independent.
 
 import itertools
 
-from .fields import rref
-from .mrat import MRatFun, fp_kernel, linearize_fractions
+from .fields import CPoly, rref
+from .mrat import MPoly, MRatFun, fp_kernel, linearize_fractions
 from .split import CapacityError
 
 
@@ -224,7 +224,7 @@ class LambdaEqInstance:
             raise ValueError("lambda must be an MRatFun in one variable")
         if lam.is_zero():
             raise ValueError("lambda must be nonzero")
-        self.lam = lam
+        self.lam = lam if lam.is_polynomial() else _lowest_terms(lam)
         self.c = list(c)
         self.r = len(c) - 1
         if self.r < 1:
@@ -242,6 +242,35 @@ class LambdaEqInstance:
 
     def __repr__(self):
         return "LambdaEqInstance(lambda=%r, c=%r)" % (self.lam, self.c)
+
+
+_LAMBDA_GCD_DEGREE_CAP = 1 << 10
+
+
+def _lowest_terms(lam):
+    """lam in one variable with num and den divided by their gcd, taken
+    in F_q[t]: MRatFun keeps no gcd, and a power of lam is a polynomial
+    only if lam in lowest terms is one.  The gcd runs on dense
+    polynomials, so their degree is capped (CapacityError)."""
+    spec = lam.spec
+    degree = max(e for f in (lam.num, lam.den) for e, in f.terms)
+    if degree > _LAMBDA_GCD_DEGREE_CAP:
+        raise CapacityError("lambda with a denominator has degree %d, "
+                            "above the cap %d of its gcd"
+                            % (degree, _LAMBDA_GCD_DEGREE_CAP))
+
+    def dense(f):
+        coeffs = [spec.zero()] * (1 + max(e for e, in f.terms))
+        for (e,), c in f.terms.items():
+            coeffs[e] = c
+        return CPoly(spec, coeffs)
+
+    def sparse(f):
+        return MPoly(spec, 1, {(i,): c for i, c in enumerate(f.coeffs)})
+
+    num, den = dense(lam.num), dense(lam.den)
+    g = num.gcd(den)
+    return MRatFun(sparse(num.exact_div(g)), sparse(den.exact_div(g)))
 
 
 def _solve_terms(terms, coeffs, nmax, spec):

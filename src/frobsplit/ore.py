@@ -1,6 +1,6 @@
 """The twisted polynomial ring F_q[F] with commutation rule F*a = a^p*F,
-its evaluation action on field elements and rational functions, Euclidean
-division on both sides, and decomposition over the center F_q[F^ell].
+its evaluation action on field elements and rational functions, and
+decomposition over the center F_q[F^ell].
 """
 
 from .fields import CPoly, FqElem, power
@@ -131,41 +131,6 @@ class OrePoly:
             return acc
         raise TypeError("cannot evaluate OrePoly on %r" % type(x))
 
-    def divmod_right(self, d):
-        """P = Q*D + R with deg R < deg D."""
-        if d.is_zero():
-            raise ZeroDivisionError("Ore division by zero")
-        spec = self.spec
-        r = self
-        q = OrePoly.zero(spec)
-        dlc = d.coeffs[-1]
-        dd = d.degree
-        while r.degree >= dd and not r.is_zero():
-            k = r.degree - dd
-            c = r.coeffs[-1] * dlc.frobenius(k).inverse()
-            term = OrePoly(spec, (spec.zero(),) * k + (c,))
-            q = q + term
-            r = r - term * d
-        return q, r
-
-    def divmod_left(self, d):
-        """P = D*Q + R with deg R < deg D."""
-        if d.is_zero():
-            raise ZeroDivisionError("Ore division by zero")
-        spec = self.spec
-        r = self
-        q = OrePoly.zero(spec)
-        dd = d.degree
-        while r.degree >= dd and not r.is_zero():
-            k = r.degree - dd
-            # leading coefficient of D * (c F^k) is lc(D) * c^(p^dd)
-            c = (r.coeffs[-1] * d.coeffs[-1].inverse()).frobenius(
-                (-dd) % spec.ell)
-            term = OrePoly(spec, (spec.zero(),) * k + (c,))
-            q = q + term
-            r = r - d * term
-        return q, r
-
     def center_decompose(self):
         """Unique parts a_i in F_q[s] with P = sum_i a_i(F^ell) F^i."""
         spec = self.spec
@@ -177,13 +142,6 @@ class OrePoly:
                 if self.degree >= i else []
             parts.append(CPoly(spec, comp))
         return parts
-
-    def is_central(self):
-        """True iff P lies in F_p[F^ell] (the center of F_q[F])."""
-        parts = self.center_decompose()
-        if any(not a.is_zero() for a in parts[1:]):
-            return False
-        return parts[0].in_prime_field()
 
     def __eq__(self, other):
         return (isinstance(other, OrePoly) and self.spec == other.spec

@@ -341,29 +341,6 @@ def column_space_basis(M):
     return rref(M.entries, M.cols)[1]
 
 
-def solve_right(M, b):
-    """Solve M x = b (b a list of SkewElem column entries) over K, or None."""
-    spec = M.spec
-    n, m = M.rows, M.cols
-    R, pivots = rref([list(row) + [bv] for row, bv in zip(M.entries, b)],
-                     m + 1)
-    if m in pivots:
-        return None  # inconsistent
-    # reduced form: row i reads x[pivots[i]] + (free terms) = R[i][m]
-    x = [SkewElem.zero(spec)] * m
-    for i, pc in enumerate(pivots):
-        x[pc] = R[i][m]
-    # verify (free variables set to zero may not satisfy non-reduced parts;
-    # with reduced echelon form they do, but keep the check cheap and exact)
-    for i in range(n):
-        acc = SkewElem.zero(spec)
-        for j in range(m):
-            acc = acc + M.entries[i][j] * x[j]
-        if not (acc - b[i]).is_zero():
-            return None
-    return x
-
-
 def right_kernel(M):
     """Basis of {v : M v = 0} as columns over K (right kernel)."""
     R, pivots = rref(M.entries, M.cols)

@@ -13,29 +13,19 @@ import itertools
 import math
 
 from .fields import (CPoly, FieldSpec, RatFun, char_poly, lift_cpoly,
-                     mat_identity, mat_mul, power, rref)
-from .fqfactor import factor as fq_factor, pth_root
+                     mat_mul, power, rref)
+from .fqfactor import factor as fq_factor, powmod, pth_root
 from .skew import (CenterPoly, SkewElem, SkewMatrix, SplitSelfCheckError,
                    column_space_basis, companion_matrix, matrix_inverse,
                    min_poly_center, right_kernel)
 
 
 class CapacityError(ValueError):
-    """A configurable degree/search cap was exceeded."""
+    """A degree or size cap of the engine was exceeded."""
 
 
 class NonDominantError(ValueError):
     """The endomorphism is not dominant (minimal polynomial has root 0)."""
-
-
-class UnknownClassificationError(RuntimeError):
-    """A factor could not be classified within the search bound."""
-
-    def __init__(self, classification):
-        self.classification = classification
-        RuntimeError.__init__(
-            self, "factor classification exhausted its search bound: %r"
-            % (classification.factor,))
 
 
 # ---------------------------------------------------------------------------
@@ -296,19 +286,16 @@ def _recombine(lifted, subset, a, B, spec, ext):
 class FactorClassification:
     """Verdict for one irreducible factor of the central minimal
     polynomial: Frobenius type (some power of each root is a power of s)
-    or multiplicatively independent of s, or unknown if the search bound
-    was truncated."""
+    or multiplicatively independent of s."""
 
     FROBENIUS = "frobenius"
     INDEPENDENT = "independent"
-    UNKNOWN = "unknown"
 
-    def __init__(self, factor, kind, n=None, j=None, bound=None, reason=""):
+    def __init__(self, factor, kind, n=None, j=None, reason=""):
         self.factor = factor
         self.kind = kind
         self.n = n
         self.j = j
-        self.bound = bound
         self.reason = reason
 
     def is_frobenius(self):
@@ -318,18 +305,6 @@ class FactorClassification:
         if self.kind == self.FROBENIUS:
             return "FrobeniusType(n=%d, j=%d)" % (self.n, self.j)
         return self.kind
-
-
-def _divisors(n):
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)
 
 
 def _monomial_of(rf):
@@ -343,65 +318,103 @@ def _monomial_of(rf):
     return unit, nterms[0] - dterms[0]
 
 
-def classify_factor(g, cap=512):
-    """Classify a monic irreducible g over F_p(s): FrobeniusType{n, j}
-    with minimal n >= 1 such that every root u satisfies u^n = s^j, or
-    Independent, or Unknown if the candidate list had to be truncated.
+_TRIAL_DIVISION_CAP = 1 << 20
 
-    The test for a candidate n is exact: the characteristic polynomial
-    of C_g^n (companion matrix power) must equal (x - s^j)^deg g."""
+
+def _prime_divisors(N):
+    """The distinct primes dividing N >= 1, by trial division up to 2^20.
+    A cofactor left above 2^40 may be composite: CapacityError."""
+    primes = []
+    q = 2
+    while q * q <= N:
+        if q > _TRIAL_DIVISION_CAP:
+            raise CapacityError("factoring %d needs trial division past %d"
+                                % (N, _TRIAL_DIVISION_CAP))
+        if N % q == 0:
+            primes.append(q)
+            while N % q == 0:
+                N //= q
+        q += 1 if q == 2 else 2
+    if N > 1:
+        primes.append(N)
+    return primes
+
+
+def _order_of_root(f):
+    """Multiplicative order of y in F_p[y]/(f), for f monic irreducible
+    over F_p other than y: the divisor of p^(deg f) - 1 left after
+    removing each prime factor while y to the quotient is still 1."""
+    y = CPoly.s(f.spec)
+    one = CPoly.one(f.spec)
+    order = f.spec.p ** f.degree - 1
+    for q in _prime_divisors(order):
+        while order % q == 0 and powmod(y, order // q, f) == one:
+            order //= q
+    return order
+
+
+def classify_factor(g):
+    """Classify a monic irreducible g over F_p(s): FrobeniusType{n, j}
+    with minimal n >= 1 such that every root u satisfies u^n = s^j with
+    j >= 0, or Independent.
+
+    The test is exact.  Let d = deg g and c0 = g(0), up to sign the
+    norm of u.  If u^n = s^j, taking norms gives c0^n = +-s^(jd), so c0
+    is a unit times s^k (else Independent: the norm filter) and kn = jd.
+    With k < 0 no power of u is s^j with j >= 0: Independent.  So
+    t0 = d / gcd(d, k) divides n and j = kn/d, and with
+    w = u^t0 * s^(-k*t0/d) the valid n are exactly t0*m with w^m = 1.
+    W = C^t0 * s^(-k*t0/d), C the companion matrix of g, is the matrix
+    of w in F_p(s)[x]/(g); its characteristic polynomial is a power of
+    the minimal polynomial of w over F_p(s).  w is a root of unity iff
+    it is algebraic over F_p, that is iff that characteristic polynomial
+    lies in F_p[y], because F_p is algebraically closed in F_p(s).  Then
+    it is f^r with f irreducible over F_p, ord(w) is the order of y in
+    F_p[y]/(f), n = t0 * ord(w), and the answer is checked once against
+    the defining identity char_poly(C^n) = (x - s^j)^d."""
     spec = g.spec
-    p = spec.p
-    deg = g.degree
-    if deg < 1:
+    d = g.degree
+    if d < 1:
         raise ValueError("constant polynomial cannot be classified")
     c0 = g.constant_term()
     if c0.is_zero():
         raise ValueError("factor has root zero (non-dominant source)")
-    # norm filter: the product of the roots is +-c0; if some power of
-    # every root is a monomial in s, c0 must be a unit times a monomial.
     mono = _monomial_of(c0)
     if mono is None:
         return FactorClassification(g, FactorClassification.INDEPENDENT,
                                     reason="norm filter: constant term is "
                                            "not a unit times a monomial")
-    # candidate powers: n = p^e * n' with p^e >= nothing beyond covering
-    # deg and n' dividing lcm{p^k - 1 : k <= min(deg!, 6)}
-    e_max = 0
-    while p ** e_max < deg:
-        e_max += 1
-    kmax = min(math.factorial(deg), 6)
-    L = 1
-    for k in range(1, kmax + 1):
-        L = L * (p ** k - 1) // math.gcd(L, p ** k - 1)
-    cands = sorted({p ** e * np for e in range(e_max + 1)
-                    for np in _divisors(L)})
-    truncated = [n for n in cands if n > cap]
-    cands = [n for n in cands if n <= cap]
-    C = companion_matrix(g)
-    for n in cands:
-        Cn = power(C, n, lambda: mat_identity(spec, len(C)), mat_mul)
-        hn = CenterPoly(spec, char_poly(Cn))
-        m0 = _monomial_of(hn.coeff(0))
-        if m0 is None:
-            continue
-        _, k = m0
-        if k % deg or k < 0:
-            continue
-        j = k // deg
-        target = CenterPoly.x_minus(RatFun(
-            CPoly.monomial(spec, spec.one(), j), _canonical=True)) ** deg
-        if hn == target:
-            return FactorClassification(
-                g, FactorClassification.FROBENIUS, n=n, j=j, bound=cap)
-    if truncated:
-        return FactorClassification(g, FactorClassification.UNKNOWN,
-                                    bound=cap,
-                                    reason="candidate list truncated at %d"
-                                           % cap)
-    return FactorClassification(g, FactorClassification.INDEPENDENT,
-                                bound=cap,
-                                reason="no candidate power matched")
+    k = mono[1]
+    if k < 0:
+        return FactorClassification(g, FactorClassification.INDEPENDENT,
+                                    reason="norm filter: constant term is "
+                                           "a negative power of s")
+    t0 = d // math.gcd(d, k)
+    k0 = k * t0 // d
+    Ct0 = power(companion_matrix(g), t0, None, mat_mul)
+    inv_s_k0 = RatFun(CPoly.one(spec), CPoly.monomial(spec, spec.one(), k0),
+                      _canonical=True)
+    chi = char_poly([[e * inv_s_k0 for e in row] for row in Ct0])
+    if any(c.num.degree > 0 or not c.is_polynomial() for c in chi):
+        return FactorClassification(g, FactorClassification.INDEPENDENT,
+                                    reason="x^%d / s^%d is not a root of "
+                                           "unity" % (t0, k0))
+    fp = FieldSpec.get(spec.p, 1)
+    _, facs = fq_factor(lift_cpoly(CPoly(spec, [c.num.coeff(0) for c in chi]),
+                                   fp))
+    if len(facs) != 1:
+        raise SplitSelfCheckError("characteristic polynomial of a root of "
+                                  "unity is not a power of one irreducible")
+    order = _order_of_root(facs[0][0])
+    n = t0 * order
+    j = k * n // d
+    target = CenterPoly.x_minus(RatFun(
+        CPoly.monomial(spec, spec.one(), j), _canonical=True)) ** d
+    if CenterPoly(spec, char_poly(power(Ct0, order, None, mat_mul))) \
+            != target:
+        raise SplitSelfCheckError("roots of %r to the power %d are not s^%d"
+                                  % (g, n, j))
+    return FactorClassification(g, FactorClassification.FROBENIUS, n=n, j=j)
 
 
 # ---------------------------------------------------------------------------
@@ -550,7 +563,7 @@ def _direct_sum_check(P, B, P_inv, A0, A1):
     return lhs == A0.direct_sum(A1)
 
 
-def split_endomorphism(A, cap=512):
+def split_endomorphism(A):
     """Split a dominant endomorphism given as a SkewMatrix (or grid of
     OrePoly) over F_q[F].  Returns SplitData."""
     if not isinstance(A, SkewMatrix):
@@ -568,10 +581,7 @@ def split_endomorphism(A, cap=512):
             B = A ** n
             r = min_poly_center(B)
         facs = factor_center(r)
-        classes = [classify_factor(g, cap=cap) for g, _ in facs]
-        for cls in classes:
-            if cls.kind == FactorClassification.UNKNOWN:
-                raise UnknownClassificationError(cls)
+        classes = [classify_factor(g) for g, _ in facs]
         need = 1
         for cls in classes:
             if cls.is_frobenius():
@@ -603,11 +613,12 @@ def split_endomorphism(A, cap=512):
         A1_pre = B
         N0 = 0
     else:
-        one, u0, u1 = r0.xgcd(r1)
+        # u0*r0 + u1*r1 = 1, so (u0*r0)(B) = I - (u1*r1)(B)
+        one, _, u1 = r0.xgcd(r1)
         if not one.is_one():
             raise SplitSelfCheckError("r0, r1 are not coprime")
         E0 = (u1 * r1).evaluate_matrix(B)
-        E1 = (u0 * r0).evaluate_matrix(B)
+        E1 = SkewMatrix.identity(spec, N) - E0
         cols0 = [ [E0.entries[i][j] for i in range(N)]
                   for j in column_space_basis(E0) ]
         cols1 = [ [E1.entries[i][j] for i in range(N)]

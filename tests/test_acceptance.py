@@ -7,7 +7,7 @@ import contextlib
 import random
 import time
 
-from frobsplit.fields import FieldSpec, RatFun, CPoly, mat_add, mat_mul
+from frobsplit.fields import FieldSpec, RatFun, CPoly, mat_mul
 from frobsplit.mrat import MRatFun
 from frobsplit.ore import OrePoly, parse_ore
 from frobsplit.skew import (CenterPoly, SkewElem, SkewMatrix,
@@ -21,6 +21,10 @@ from frobsplit.classify import (check_independence,
 from frobsplit.fsets import (LambdaEqInstance, lambda_density,
                              vandermonde_check)
 from frobsplit.cli import main as cli_main
+
+
+def mat_add(A, B):
+    return [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
 
 
 def rand_ore(spec, maxdeg, rng):

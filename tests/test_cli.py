@@ -144,26 +144,32 @@ def test_classify_A_with_density(tmp_path):
     assert code == 0
 
 
-def test_classify_unknown_exit_2(tmp_path):
+def test_classify_g_f_over_f4_has_no_cap_option(tmp_path):
+    # the root of x^2 - s squares to s: decided exactly, with no bound
     prob = tmp_path / "p.txt"
     prob.write_text("[field]\np = 2\nell = 2\n\n[map]\nn = 1\n"
                     "entry_1_1 = [0,1]*F\n\n[question]\nd = 1\n")
-    code, _ = run(["classify", str(prob), "--cap", "1"])
-    assert code == 2
-    code, _ = run(["classify", str(prob)])
-    assert code == 0
+    code, out = run(["classify", str(prob)])
+    assert code == 0 and "verdict = A" in out
+    code, out = run(["tools", "split", str(prob)])
+    assert code == 0 and "n = 2\n" in out
+    for argv in (["classify", str(prob)], ["tools", "split", str(prob)]):
+        with pytest.raises(SystemExit):
+            main(argv + ["--cap", "1"])
 
 
-def test_companion_of_x7_x_1_is_unknown_exit_2(tmp_path, capsys):
-    # n = 127 is not among classify_factor's candidate powers
+def test_companion_of_x7_x_1_is_verdict_b(tmp_path):
+    # the root of x^7 + x + 1 has order 127 in F_128^*: v*A^127 = v
     entries = "".join("entry_%d_%d = %d\n" % (i, j, int(i == j + 1 or (
         j == 7 and i in (1, 2)))) for i in range(1, 8) for j in range(1, 8))
     prob = tmp_path / "p.txt"
+    cert = tmp_path / "c.txt"
     prob.write_text("[field]\np = 2\nell = 1\n\n[map]\nn = 7\n" + entries
                     + "\n[question]\nd = 1\n")
-    assert main(["classify", str(prob)]) == 2
-    out, err = capsys.readouterr()
-    assert "classification bound exhausted: unknown" in out + err
+    code, out = run(["classify", str(prob), "--out", str(cert)])
+    assert code == 0 and "verdict = B" in out
+    code, out = run(["verify", str(cert), str(prob)])
+    assert code == 0 and out == "checked: v*A^127 = v\n"
 
 
 def test_non_dominant_exit_1(tmp_path):
@@ -411,6 +417,31 @@ def test_lambda_with_four_terms_is_bound_exit_2(tmp_path, capsys):
     assert out == ""
     assert err.startswith("error: bound exhausted: lambda equation with "
                           "r = 4 terms") and err.count("\n") == 1
+
+
+def test_lambda_not_in_lowest_terms_gives_the_same_sweep(tmp_path):
+    # (t1^2 + t1) / t1 = t1 + 1: lambda is reduced once, so its powers
+    # are polynomials and the sweep matches the reduced form's
+    outs = []
+    for lam in ("t1 + 1", "(t1^2 + t1) / (t1)", "(t1^2 + 1) / (t1 + 1)"):
+        prob = tmp_path / ("%d.txt" % len(outs))
+        prob.write_text(LAMBDA.replace("t1 + 1", lam))
+        code, out = run(["tools", "lambda-density", str(prob), "--M", "8"])
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1] == outs[2]
+    assert "count = 4/8\n" in outs[0]
+
+
+def test_lambda_with_a_denominator_past_the_gcd_cap_exit_2(tmp_path, capsys):
+    prob = tmp_path / "p.txt"
+    prob.write_text(LAMBDA.replace("t1 + 1", "(t1^5000 + t1) / (t1)"))
+    assert main(["tools", "lambda-density", str(prob), "--M", "4"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: bound exhausted: lambda with a "
+                          "denominator has degree 5000") \
+        and err.count("\n") == 1
 
 
 def test_input_checks_fire_under_optimize_flag(tmp_path):

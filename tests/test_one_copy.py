@@ -17,8 +17,8 @@ from hypothesis import given, settings, strategies as st
 
 import frobsplit
 from frobsplit.fields import (CPoly, FieldSpec, RatFun, kernel_basis,
-                              mat_mul, matrix_rank, power,
-                              smallest_irreducible, solve_linear)
+                              mat_mul, power, rref, smallest_irreducible,
+                              solve_linear)
 from frobsplit.fqfactor import is_irreducible
 from frobsplit.ore import OrePoly
 from frobsplit.skew import SkewElem, SkewMatrix
@@ -272,7 +272,7 @@ def _rank_deficient(rng, spec, nrows, ncols, rank):
 def test_kernel_rank_and_solve_match_fraction_free_reference(
         spec, nrows, ncols, rank, rng):
     M = _rank_deficient(rng, spec, nrows, ncols, rank)
-    assert matrix_rank(M) == reference_rank(M)
+    assert len(rref(M, ncols)[1]) == reference_rank(M)
     basis = kernel_basis(M)
     assert basis == reference_kernel_basis(M)
     for v in basis:

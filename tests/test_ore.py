@@ -48,22 +48,6 @@ def test_noncommutative():
     assert F * a != a * F
 
 
-def test_divisions():
-    rng = random.Random(5)
-    for spec in (F4, F9):
-        for _ in range(30):
-            A = rand_ore(spec, 4, rng)
-            B = rand_ore(spec, 2, rng)
-            if B.is_zero():
-                continue
-            q, r = A.divmod_right(B)
-            assert q * B + r == A
-            assert r.is_zero() or r.degree < B.degree
-            q, r = A.divmod_left(B)
-            assert B * q + r == A
-            assert r.is_zero() or r.degree < B.degree
-
-
 def test_evaluation_additive_and_composition():
     rng = random.Random(6)
     big = FieldSpec.get(2, 4)
@@ -96,7 +80,6 @@ def test_center_decompose_roundtrip():
     F_ell = OrePoly.F(F4, 2)
     w = OrePoly.constant(F4.generator())
     assert F_ell * w == w * F_ell
-    assert F_ell.is_central()
 
 
 def test_parse_format_roundtrip():

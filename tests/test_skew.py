@@ -4,14 +4,13 @@ elimination."""
 
 import random
 
-from frobsplit.fields import (CPoly, FieldSpec, RatFun, char_poly, mat_mul,
-                              mat_add)
+from frobsplit.fields import CPoly, FieldSpec, RatFun, char_poly, mat_mul
 from frobsplit.ore import OrePoly, parse_ore
 from frobsplit.skew import (CenterPoly, SkewElem, SkewMatrix,
                             central_multiplier, char_poly_tilde,
                             companion_matrix, gauss_eliminate,
                             matrix_inverse, min_poly_center, right_kernel,
-                            solve_right, tilde)
+                            tilde)
 
 F2 = FieldSpec.get(2, 1)
 F4 = FieldSpec.get(2, 2)
@@ -47,7 +46,8 @@ def test_tilde_multiplicative_additive_injective():
         B = SkewMatrix.from_ore(F4, [[rand_ore(F4, 2, rng)
                                       for _ in range(2)] for _ in range(2)])
         assert tilde(A * B) == mat_mul(tilde(A), tilde(B))
-        assert tilde(A + B) == mat_add(tilde(A), tilde(B))
+        assert tilde(A + B) == [[a + b for a, b in zip(ra, rb)]
+                                for ra, rb in zip(tilde(A), tilde(B))]
         if not A.is_zero():
             assert any(not e.is_zero() for row in tilde(A) for e in row)
 
@@ -142,18 +142,6 @@ def test_rank_deficient_kernel_and_solve():
         for j in range(2):
             acc = acc + S.entries[i][j] * ker[0][j]
         assert acc.is_zero()
-    A = SkewMatrix.from_ore(F4, [[parse_ore("F + [0,1]", F4),
-                                  OrePoly.one(F4)],
-                                 [OrePoly.zero(F4), parse_ore("F^2", F4)]])
-    b = [SkewElem.from_ore(parse_ore("F", F4)),
-         SkewElem.from_ore(OrePoly.one(F4))]
-    x = solve_right(A, b)
-    assert x is not None
-    for i in range(2):
-        acc = SkewElem.zero(F4)
-        for j in range(2):
-            acc = acc + A.entries[i][j] * x[j]
-        assert (acc - b[i]).is_zero()
 
 
 def test_center_poly_arithmetic():

@@ -110,14 +110,12 @@ def test_classify_factor():
     assert c.is_frobenius() and c.n == 2 and c.j == 2
 
 
-def test_classify_factor_cap_gives_unknown():
-    # g*F over F_4 needs n = 2; cap below that must surface Unknown
+def test_classify_factor_of_g_f_over_f4_is_exact():
+    # (g*F)^2 = g^3 * F^2 = s: the root u of x^2 - s has u^2 = s, n = 2
     A = SkewMatrix.from_ore(F4, [[parse_ore("[0,1]*F", F4)]])
     g = min_poly_center(A)
-    c = classify_factor(g, cap=1)
-    assert c.kind == FactorClassification.UNKNOWN
     c = classify_factor(g)
-    assert c.is_frobenius() and c.n == 2
+    assert c.is_frobenius() and (c.n, c.j) == (2, 1)
 
 
 def test_classify_factor_pinned_answers():
@@ -127,9 +125,14 @@ def test_classify_factor_pinned_answers():
     x, s, one = x_s_one(F2)
     c = classify_factor(x ** 6 + x + one)
     assert c.is_frobenius() and (c.n, c.j) == (63, 0)
-    # not of Frobenius type, but candidates above the cap stay untried
+    # a root of y^7 + y + 1 has order 127; a root u of x^11 + s has u^11 = s
+    c = classify_factor(x ** 7 + x + one)
+    assert c.is_frobenius() and (c.n, c.j) == (127, 0)
+    c = classify_factor(x ** 11 + CenterPoly(F2, [s]))
+    assert c.is_frobenius() and (c.n, c.j) == (11, 1)
+    # x^3 / s is not a root of unity: no power of a root is a power of s
     c = classify_factor(x ** 3 + x + CenterPoly(F2, [s]))
-    assert c.kind == FactorClassification.UNKNOWN and c.bound == 512
+    assert c.kind == FactorClassification.INDEPENDENT
 
 
 def test_jordan_form_central():

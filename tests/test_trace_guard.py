@@ -1,5 +1,5 @@
 """`--trace 1` guard: perfbench's per-layer tracer, installed over the
-engine, on one B, one C and one A problem run through `cli.main`, and on
+engine, on two B, one C and one A problem run through `cli.main`, and on
 the three `tools` calls of the fset-lab workload.
 
 The tracer wraps named methods in their own classes and named functions
@@ -51,6 +51,12 @@ entry_2_2 = 0
 [question]
 d = 1
 """
+
+# the companion matrix of x^7 + x + 1 over F_2 (known defect (a) of the
+# benchmark): its root has order 127, so v*A^127 = v
+X7_PROBLEM = "[field]\np = 2\nell = 1\n\n[map]\nn = 7\n" + "".join(
+    "entry_%d_%d = %d\n" % (i, j, int(i == j + 1 or (j == 7 and i in (1, 2))))
+    for i in range(1, 8) for j in range(1, 8)) + "\n[question]\nd = 1\n"
 
 A_PROBLEM = """\
 [field]
@@ -136,9 +142,11 @@ def test_traced_b_and_c_problems_fire_the_counters_and_uninstall(tmp_path):
     t = tracer.Tracer()
     t.install()
     try:
-        for verdict, text in (("B", B_PROBLEM), ("C", C_PROBLEM)):
-            problem = tmp_path / ("problem-%s.txt" % verdict)
-            cert = tmp_path / ("cert-%s.txt" % verdict)
+        for i, (verdict, text) in enumerate((("B", B_PROBLEM),
+                                             ("C", C_PROBLEM),
+                                             ("B", X7_PROBLEM))):
+            problem = tmp_path / ("problem-%d.txt" % i)
+            cert = tmp_path / ("cert-%d.txt" % i)
             problem.write_text(text)
             out = io.StringIO()
             with contextlib.redirect_stdout(out):
@@ -151,7 +159,12 @@ def test_traced_b_and_c_problems_fire_the_counters_and_uninstall(tmp_path):
     summary = t.summary()
     for metric in FIRING:
         assert summary[metric] > 0, metric
-    assert summary["split.split_endomorphism.calls"] == 2
+    assert summary["split.split_endomorphism.calls"] == 3
+    # the benchmark's traced certify-bc run needs these spans to fire and
+    # no factor to end Unknown
+    assert summary["split.classify_factor.calls"] > 0
+    assert summary["fields.char_poly.calls"] > 0
+    assert summary["split.classify_factor.unknown"] == 0
     assert_restored(methods, bindings)
 
 
