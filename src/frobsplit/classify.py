@@ -147,7 +147,6 @@ class Verdict:
 
 def build_certificate_B(split):
     """Row of the n_i = 0 block of P, cleared by [h]."""
-    spec = split.spec
     idx = 0
     found = None
     for k, m in split.blocks:
@@ -194,7 +193,11 @@ def verify_certificate(A, cert):
     else:
         entries = [list(r) for r in A]
     spec = entries[0][0].spec
+    N = len(entries)
     if isinstance(cert, CertificateB):
+        if len(cert.v) != N:
+            return False, ("certificate row has %d entries, the map has "
+                           "dimension %d" % (len(cert.v), N))
         if all(e.is_zero() for e in cert.v):
             return False, "certificate row is zero"
         if cert.n < 1:
@@ -205,6 +208,10 @@ def verify_certificate(A, cert):
             return True, "v*A^%d = v" % cert.n
         return False, "identity fails"
     if isinstance(cert, CertificateC):
+        for i, row in enumerate(cert.T, 1):
+            if len(row) != N:
+                return False, ("certificate row %d has %d entries, the map "
+                               "has dimension %d" % (i, len(row), N))
         if cert.m < 1 or cert.r < 1:
             return False, "exponents must be positive"
         T = [list(row) for row in cert.T]
@@ -226,7 +233,7 @@ def verify_certificate(A, cert):
 # ---------------------------------------------------------------------------
 # independent points and the independence checker
 
-def _mpoly_divisible_by_univar(D, pi, nvars):
+def _mpoly_divisible_by_univar(D, pi):
     """Does the univariate monic pi(t_1) divide the MPoly D exactly?"""
     spec = pi.spec
     dd = pi.degree
@@ -260,19 +267,10 @@ def construct_independent_points(k, deltas, spec, nvars):
     if k < 1:
         return []
     out = []
-    used = []
     for pi in monic_irreducibles(spec, 1):
-        bad = False
-        for d in deltas:
-            if _mpoly_divisible_by_univar(d.num, pi, nvars) \
-                    or _mpoly_divisible_by_univar(d.den, pi, nvars):
-                bad = True
-                break
-        if not bad and any(pi == q for q in used):
-            bad = True
-        if bad:
+        if any(_mpoly_divisible_by_univar(d.num, pi)
+               or _mpoly_divisible_by_univar(d.den, pi) for d in deltas):
             continue
-        used.append(pi)
         den = MPoly.zero(spec, nvars)
         for i, c in enumerate(pi.coeffs):
             if not c.is_zero():
@@ -341,7 +339,6 @@ def orbit(A, alpha, M):
 def orbit_sequence(h, A0, A1, alpha0, alpha1, M):
     """n-th term ([h] o (Phi_0^n, Phi_1^n))(alpha_0, alpha_1); the
     sequence is built from matrix powers, not by iterating one map."""
-    spec = h.spec
     hr = RatFun(h)
     out = []
     for n in range(M):
@@ -483,7 +480,7 @@ def _density(coord, N, M, D, specialize, symbolic_points, seed, trials):
     ranks = []
     kernel_candidates = []
     for trial in range(trials):
-        for attempt in range(64):
+        for _ in range(64):
             values = [big.random_element(rng) for _ in range(coord.nvars)]
             try:
                 pts = specialize(values, emb)
@@ -542,7 +539,7 @@ def witness_A(split, d, density_M=20, density_D=2, seed=0, A=None):
         raise ValueError("verdict A preconditions violated")
     nvars = max(d, 1)
     alpha0 = []
-    for k, m in split.blocks:
+    for _, m in split.blocks:
         for i in range(m):
             alpha0.append(MRatFun.var(spec, nvars, i))
     deltas = [MRatFun.var(spec, nvars, i)

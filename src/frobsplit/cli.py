@@ -10,8 +10,8 @@ bracketed vectors `[c0,c1,...]`).  Lists use ` ; ` separators.
 Exit codes: 0 ok, 1 parse/validation error, 2 a degree/size cap of the
 engine (the x- or s-degree of the central minimal polynomial, a p^e - 1
 with a factor past trial division to 2^20 while ordering a root of
-unity, the power-up rounds, a lambda with a denominator past degree
-2^10, a lambda equation with r > 3), 3
+unity, a lambda with a denominator past degree 2^10, a lambda equation
+with r > 3), 3
 certificate/problem digest mismatch, 4 certificate verification failure
 (including a certificate that fails its self-check inside classify).
 """
@@ -186,8 +186,10 @@ def parse_mrat(text, spec, nvars):
     for side in (num, den):
         if not (side.startswith("(") and side.endswith(")")):
             raise CLIError("fraction sides must be parenthesized: %r" % text)
-    return MRatFun(parse_mpoly(num[1:-1], spec, nvars),
-                   parse_mpoly(den[1:-1], spec, nvars))
+    num, den = (parse_mpoly(side[1:-1], spec, nvars) for side in (num, den))
+    if den.is_zero():
+        raise CLIError("zero denominator in %r" % text)
+    return MRatFun(num, den)
 
 
 def parse_point(values, spec, nvars):
@@ -541,9 +543,13 @@ def cmd_verify(args, out):
         print("checked: %s" % reason, file=out)
         return 0 if ok else 4
     # kind A: density re-verification of the stored witness orbit
+    alpha = cert.payload["alpha"]
+    if len(alpha) != A.N:
+        print("checked: witness point has %d coordinates, the map has "
+              "dimension %d" % (len(alpha), A.N), file=out)
+        return 4
     seed = args.seed if args.seed is not None else 0
-    report = density_check_orbit(A, cert.payload["alpha"],
-                                 cert.payload["density_m"],
+    report = density_check_orbit(A, alpha, cert.payload["density_m"],
                                  cert.payload["density_d"], seed=seed)
     print("checked: orbit density up to degree %d on %d points -> %s"
           % (report.D, report.M, report.outcome), file=out)

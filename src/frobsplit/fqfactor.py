@@ -123,7 +123,6 @@ def factor(f):
 
     Returns (leading coefficient, list of (monic irreducible, multiplicity)).
     """
-    spec = f.spec
     if f.is_zero():
         raise ValueError("cannot factor zero")
     lc = f.leading()

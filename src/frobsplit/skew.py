@@ -327,10 +327,10 @@ def matrix_inverse(M):
     """Exact inverse of a square SkewMatrix; raises SingularMatrixError."""
     if M.rows != M.cols:
         raise ValueError("inverse of a non-square matrix")
-    rank, R, T = gauss_eliminate(M)
+    rank, _, T = gauss_eliminate(M)
     if rank < M.rows:
         raise SingularMatrixError("matrix is singular over K")
-    # R is the identity (reduced echelon of full-rank square matrix)
+    # the reduced echelon form of a full-rank square matrix is I
     return T
 
 

@@ -13,7 +13,7 @@ import itertools
 import math
 
 from .fields import (CPoly, FieldSpec, RatFun, char_poly, lift_cpoly,
-                     mat_mul, power, rref)
+                     mat_mul, power)
 from .fqfactor import factor as fq_factor, powmod, pth_root
 from .skew import (CenterPoly, SkewElem, SkewMatrix, SplitSelfCheckError,
                    column_space_basis, companion_matrix, matrix_inverse,
@@ -125,7 +125,6 @@ def _factor_squarefree(g):
     """Monic squarefree g over F_p(s) (gcd(g, g') = 1) -> list of monic
     irreducible factors."""
     spec = g.spec  # F_p with ell = 1
-    p = spec.p
     if g.degree <= 1:
         return [g] if g.degree == 1 else []
     # clear denominators: g2(x) = d^n * g(x/d) has coefficients in F_p[s]
@@ -424,23 +423,21 @@ def _col_matrix(spec, vecs, n):
     return SkewMatrix(spec, [[v[i] for v in vecs] for i in range(n)])
 
 
-def _col_rank(vecs, n):
-    return len(rref([[v[i] for v in vecs] for i in range(n)], len(vecs))[1])
-
-
-def jordan_form_central(A0, factors=None):
+def jordan_form_central(A0, factors):
     """Jordan form of a SkewMatrix whose minimal polynomial splits into
-    (x - s^k)^e factors over F_p(s).  `factors` holds the (factor,
-    multiplicity) pairs of that minimal polynomial when the caller
-    already knows them; they are computed otherwise.
+    (x - s^k)^e factors over F_p(s); `factors` holds the (factor,
+    multiplicity) pairs of that minimal polynomial.
+
+    For each eigenvalue s^k, with M = A0 - s^k, the chain heads of length
+    j are the vectors of ker M^j independent of ker M^(j-1) and of the
+    level-j members of the longer chains: the pivot columns past that
+    base in one elimination of [base | ker M^j].
 
     Returns (Pj, Pj_inv, blocks) with Pj invertible, Pj^{-1}*A0*Pj
     exactly the Jordan matrix, and blocks a list of (exponent k, size)
     pairs."""
     spec = A0.spec
     n = A0.rows
-    if factors is None:
-        factors = factor_center(min_poly_center(A0))
     eigen = []
     for gfac, mult in factors:
         if gfac.degree != 1:
@@ -454,35 +451,24 @@ def jordan_form_central(A0, factors=None):
     eigen.sort()
     all_chains = []  # (exponent, chain)
     for k, root, e in eigen:
-        lamI = SkewMatrix.identity(spec, n).scale_central(root)
-        M = A0 - lamI
-        kernels = [[]]
-        Mp = SkewMatrix.identity(spec, n)
-        for j in range(1, e + 1):
-            Mp = Mp * M
-            kernels.append(right_kernel(Mp))
+        M = A0 - SkewMatrix.identity(spec, n).scale_central(root)
+        kernels = [[]] + [right_kernel(M ** j) for j in range(1, e + 1)]
         chains = []
         for j in range(e, 0, -1):
-            base = list(kernels[j - 1])
-            for c in chains:
-                if len(c) >= j:
-                    base.append(c[len(c) - j])
-            rank0 = _col_rank(base, n)
-            for v in kernels[j]:
-                trial = base + [v]
-                if _col_rank(trial, n) > rank0:
-                    chain = [v]
-                    cur = v
-                    for _ in range(j - 1):
-                        cur = [sum((M.entries[i][t] * cur[t]
-                                    for t in range(n)),
-                                   SkewElem.zero(spec)) for i in range(n)]
-                        chain.append(cur)
-                    chains.append(chain)
-                    base = trial
-                    rank0 += 1
-        for c in chains:
-            all_chains.append((k, c))
+            base = kernels[j - 1] + [c[-j] for c in chains if len(c) >= j]
+            vecs = base + kernels[j]
+            for col in column_space_basis(_col_matrix(spec, vecs, n)):
+                if col < len(base):
+                    continue
+                cur = vecs[col]
+                chain = [cur]
+                for _ in range(j - 1):
+                    cur = [sum((M.entries[i][t] * cur[t]
+                                for t in range(n)),
+                               SkewElem.zero(spec)) for i in range(n)]
+                    chain.append(cur)
+                chains.append(chain)
+        all_chains.extend((k, c) for c in chains)
     # assemble the basis: within each chain, deepest image first
     cols = []
     blocks = []
@@ -571,26 +557,24 @@ def split_endomorphism(A):
         A = SkewMatrix.from_ore(spec, A)
     spec = A.spec
     p = spec.p
-    mp = min_poly_center(A)
-    if mp.constant_term().is_zero():
+    r = min_poly_center(A)
+    if r.constant_term().is_zero():
         raise NonDominantError("minimal polynomial has zero constant term")
-    n = 1
-    B, r = A, mp
-    for _ in range(8):
-        if n > 1:
-            B = A ** n
-            r = min_poly_center(B)
+    facs = factor_center(r)
+    classes = [classify_factor(g) for g, _ in facs]
+    # one power-up round suffices: if u^(n_i) = s^(j_i) then u^n =
+    # s^(j_i*n/n_i) for n = lcm(n_i), and if some (u^n)^m were s^j, u
+    # would be of Frobenius type itself
+    n = math.lcm(*(cls.n for cls in classes if cls.is_frobenius()))
+    B = A
+    if n > 1:
+        B = A ** n
+        r = min_poly_center(B)
         facs = factor_center(r)
         classes = [classify_factor(g) for g, _ in facs]
-        need = 1
-        for cls in classes:
-            if cls.is_frobenius():
-                need = need * cls.n // math.gcd(need, cls.n)
-        if need == 1:
-            break
-        n *= need
-    else:
-        raise CapacityError("power-up iteration did not stabilize")
+        if any(cls.is_frobenius() and cls.n != 1 for cls in classes):
+            raise SplitSelfCheckError("a Frobenius factor of A^%d still "
+                                      "needs a power" % n)
     # partition the minimal polynomial
     r0 = CenterPoly.one(spec)
     r1 = CenterPoly.one(spec)
@@ -600,18 +584,11 @@ def split_endomorphism(A):
         else:
             r1 = r1 * g ** m
     N = A.rows
-    if r1.degree == 0:
-        Q = SkewMatrix.identity(spec, N)
-        Q_inv = Q
-        A0_pre = B
-        A1_pre = SkewMatrix.zero(spec, 0, 0)
-        N0 = N
-    elif r0.degree == 0:
-        Q = SkewMatrix.identity(spec, N)
-        Q_inv = Q
-        A0_pre = SkewMatrix.zero(spec, 0, 0)
-        A1_pre = B
-        N0 = 0
+    if r0.degree == 0 or r1.degree == 0:
+        Q = Q_inv = SkewMatrix.identity(spec, N)
+        N0 = N if r1.degree == 0 else 0
+        A0_pre = B.submatrix(0, N0, 0, N0)
+        A1_pre = B.submatrix(N0, N, N0, N)
     else:
         # u0*r0 + u1*r1 = 1, so (u0*r0)(B) = I - (u1*r1)(B)
         one, _, u1 = r0.xgcd(r1)
@@ -637,35 +614,20 @@ def split_endomorphism(A):
     # Jordanize the Frobenius part, then power up to pure diagonal; B
     # restricted to ker r0(B) has minimal polynomial r0, whose factors
     # are the Frobenius ones of r
-    if N0 > 0:
-        Pj, Pj_inv, jblocks = jordan_form_central(
-            A0_pre, [f for f, cls in zip(facs, classes) if cls.is_frobenius()])
-    else:
-        Pj = Pj_inv = SkewMatrix.zero(spec, 0, 0)
-        jblocks = []
+    Pj, Pj_inv, jblocks = jordan_form_central(
+        A0_pre, [f for f, cls in zip(facs, classes) if cls.is_frobenius()])
     a, merged = power_up(p, jblocks)
     n_final = n * p ** a
     B_final = B ** (p ** a)  # B itself when a = 0
-    # conjugation: P = (Pj (+) I)^{-1} * Q^{-1}
-    if N0 > 0 and A1_pre.rows > 0:
-        Pj_full = Pj.direct_sum(SkewMatrix.identity(spec, A1_pre.rows))
-        Pj_full_inv = Pj_inv.direct_sum(SkewMatrix.identity(spec, A1_pre.rows))
-    elif N0 > 0:
-        Pj_full, Pj_full_inv = Pj, Pj_inv
-    else:
-        Pj_full = Pj_full_inv = SkewMatrix.identity(spec, N)
-    P = Pj_full_inv * Q_inv
-    P_inv = Q * Pj_full
+    I1 = SkewMatrix.identity(spec, N - N0)
+    P = Pj_inv.direct_sum(I1) * Q_inv
+    P_inv = Q * Pj.direct_sum(I1)
     # final blocks
-    A0 = SkewMatrix.zero(spec, 0, 0)
-    if merged:
-        diag = []
-        for k, m in merged:
-            diag.extend([k] * m)
-        A0 = SkewMatrix(spec, [[SkewElem.F(spec, diag[i] * spec.ell)
-                                if i == j else SkewElem.zero(spec)
-                                for j in range(N0)] for i in range(N0)])
-    A1 = A1_pre ** (p ** a) if A1_pre.rows else A1_pre
+    diag = [k for k, m in merged for _ in range(m)]
+    A0 = SkewMatrix(spec, [[SkewElem.F(spec, diag[i] * spec.ell)
+                            if i == j else SkewElem.zero(spec)
+                            for j in range(N0)] for i in range(N0)])
+    A1 = A1_pre ** (p ** a)
     if not _direct_sum_check(P, B_final, P_inv, A0, A1):
         raise SplitSelfCheckError("block-diagonal identity failed")
     # minimal polynomial bookkeeping for the powered map

@@ -466,3 +466,91 @@ def test_input_checks_fire_under_optimize_flag(tmp_path):
         assert done.returncode == code, done.stderr
         assert done.stderr.startswith("error: ")
         assert done.stderr.count("\n") == 1
+
+
+DIAG_F1_F1 = """\
+[field]
+p = 2
+ell = 1
+
+[map]
+n = 2
+entry_1_1 = 1 + F
+entry_1_2 = 0
+entry_2_1 = 0
+entry_2_2 = 1 + F
+
+[question]
+d = 1
+"""
+
+
+def test_verify_rejects_b_row_longer_than_the_map(tmp_path, capsys):
+    prob = tmp_path / "p.txt"
+    prob.write_text(IDENTITY)
+    cert = tmp_path / "c.txt"
+    assert run(["classify", str(prob), "--out", str(cert)])[0] == 0
+    long_row = tmp_path / "long.txt"
+    long_row.write_text(cert.read_text().replace(
+        "v_1 = 1\n", "v_1 = 1\nv_2 = F + 1\nv_3 = F^5\n"))
+    code, out = run(["verify", str(long_row), str(prob)])
+    assert code == 4
+    assert out == ("checked: certificate row has 3 entries, the map has "
+                   "dimension 1\n")
+    assert capsys.readouterr().err == ""
+
+
+def test_verify_rejects_c_rows_of_the_wrong_length(tmp_path):
+    prob = tmp_path / "p.txt"
+    prob.write_text(DIAG_FF)
+    cert = tmp_path / "c.txt"
+    assert run(["classify", str(prob), "--out", str(cert)])[0] == 0
+    text = cert.read_text()
+    assert "t_2_2 = " in text and "t_2_3" not in text
+    wide = tmp_path / "wide.txt"
+    wide.write_text(text.replace("t_2_2 = ", "t_2_3 = 0\nt_2_2 = "))
+    code, out = run(["verify", str(wide), str(prob)])
+    assert code == 4
+    assert out == ("checked: certificate row 2 has 3 entries, the map has "
+                   "dimension 2\n")
+
+
+def test_verify_rejects_a_witness_of_the_wrong_dimension(tmp_path, capsys):
+    prob = tmp_path / "p.txt"
+    prob.write_text(DIAG_F1_F1)
+    cert = tmp_path / "c.txt"
+    code, out = run(["classify", str(prob), "--out", str(cert)])
+    assert code == 0 and "verdict = A" in out
+    text = cert.read_text()
+    short = tmp_path / "short.txt"
+    short.write_text("".join(line for line in text.splitlines(True)
+                             if not line.startswith("alpha_2 =")))
+    code, out = run(["verify", str(short), str(prob)])
+    assert code == 4
+    assert out == ("checked: witness point has 1 coordinates, the map has "
+                   "dimension 2\n")
+    assert capsys.readouterr().err == ""
+
+
+def test_zero_denominator_is_error_exit_1(tmp_path, capsys):
+    point = tmp_path / "pt.txt"
+    point.write_text(F_PLUS_1.replace(
+        "[question]\nd = 1\ndensity_m = 25\ndensity_d = 3\n",
+        "[point]\nnvars = 1\nx_1 = (1) / (0)\n"))
+    lam = tmp_path / "lam.txt"
+    lam.write_text(LAMBDA.replace("lambda = t1 + 1", "lambda = (1) / (0)"))
+    prob = tmp_path / "p.txt"
+    prob.write_text(DIAG_F1_F1)
+    cert = tmp_path / "c.txt"
+    assert run(["classify", str(prob), "--out", str(cert)])[0] == 0
+    capsys.readouterr()
+    bad = tmp_path / "bad.txt"
+    bad.write_text(cert.read_text().replace("alpha_1 = (1) / (t1)",
+                                            "alpha_1 = (1) / (0)"))
+    for argv in (["tools", "orbit", str(point)],
+                 ["tools", "lambda-density", str(lam), "--M", "4"],
+                 ["verify", str(bad), str(prob)]):
+        code, out = run(argv)
+        assert code == 1 and out == ""
+        assert capsys.readouterr().err == \
+            "error: zero denominator in '(1) / (0)'\n"

@@ -6,7 +6,8 @@ import random
 import pytest
 
 from frobsplit import split
-from frobsplit.fields import CPoly, FieldSpec, RatFun
+from frobsplit.cli import main
+from frobsplit.fields import CPoly, FieldSpec, RatFun, rref
 from frobsplit.ore import OrePoly, parse_ore
 from frobsplit.skew import CenterPoly, SkewElem, SkewMatrix, min_poly_center
 from frobsplit.split import (FactorClassification, NonDominantError,
@@ -139,7 +140,8 @@ def test_jordan_form_central():
     sr = RatFun.s(F2)
     A0 = SkewMatrix(F2, [[SkewElem.from_ratfun(sr), SkewElem.one(F2)],
                          [SkewElem.zero(F2), SkewElem.from_ratfun(sr)]])
-    Pj, Pj_inv, blocks = jordan_form_central(A0)
+    Pj, Pj_inv, blocks = jordan_form_central(
+        A0, factor_center(min_poly_center(A0)))
     assert blocks == [(1, 2)]
     J = Pj_inv * A0 * Pj
     assert J.entries[0][0] == SkewElem.from_ratfun(sr)
@@ -148,7 +150,7 @@ def test_jordan_form_central():
     D = SkewMatrix(F2, [[SkewElem.from_ratfun(sr), SkewElem.zero(F2)],
                         [SkewElem.zero(F2),
                          SkewElem.from_ratfun(sr * sr)]])
-    _, _, blocks = jordan_form_central(D)
+    _, _, blocks = jordan_form_central(D, factor_center(min_poly_center(D)))
     assert sorted(blocks) == [(1, 1), (2, 1)]
 
 
@@ -159,14 +161,95 @@ def test_jordan_form_central_takes_known_factors():
     for A0 in (SkewMatrix(F2, [[s1, o], [z, s1]]),
                SkewMatrix(F2, [[s1, z, z], [z, s2, o], [z, z, s2]])):
         factors = factor_center(min_poly_center(A0))
-        expected = jordan_form_central(A0)
+        expected = _greedy_jordan(A0, factors)
         assert jordan_form_central(A0, factors) == expected
         assert jordan_form_central(A0, factors[::-1]) == expected
 
 
+def _greedy_jordan(A0, factors):
+    """Reference Jordan basis: each candidate of ker M^j is kept when it
+    raises the column rank of the base, one elimination per candidate."""
+    spec, n = A0.spec, A0.rows
+
+    def col_rank(vecs):
+        return len(rref([[v[i] for v in vecs] for i in range(n)],
+                        len(vecs))[1])
+
+    eigen = sorted((split._monomial_of(-g.coeff(0))[1], -g.coeff(0), e)
+                   for g, e in factors)
+    cols, blocks = [], []
+    for k, root, e in eigen:
+        M = A0 - SkewMatrix.identity(spec, n).scale_central(root)
+        kernels, Mp = [[]], SkewMatrix.identity(spec, n)
+        for _ in range(e):
+            Mp = Mp * M
+            kernels.append(split.right_kernel(Mp))
+        chains = []
+        for j in range(e, 0, -1):
+            base = list(kernels[j - 1]) + [c[len(c) - j] for c in chains
+                                           if len(c) >= j]
+            rank0 = col_rank(base)
+            for v in kernels[j]:
+                if col_rank(base + [v]) > rank0:
+                    chain = [v]
+                    for _ in range(j - 1):
+                        chain.append([sum((M.entries[i][t] * chain[-1][t]
+                                           for t in range(n)),
+                                          SkewElem.zero(spec))
+                                      for i in range(n)])
+                    chains.append(chain)
+                    base.append(v)
+                    rank0 += 1
+        for chain in chains:
+            blocks.append((k, len(chain)))
+            cols.extend(reversed(chain))
+    Pj = SkewMatrix(spec, [[v[i] for v in cols] for i in range(n)])
+    return Pj, split.matrix_inverse(Pj), blocks
+
+
+def _jordan_matrix(spec, blocks):
+    n = sum(m for _, m in blocks)
+    ent = [[SkewElem.zero(spec)] * n for _ in range(n)]
+    i = 0
+    for k, m in blocks:
+        sk = SkewElem.from_ratfun(RatFun.s(spec) ** k)
+        for t in range(m):
+            ent[i + t][i + t] = sk
+            if t + 1 < m:
+                ent[i + t][i + t + 1] = SkewElem.one(spec)
+        i += m
+    return SkewMatrix(spec, ent)
+
+
+@pytest.mark.parametrize("spec", [F2, F3, F4], ids=["F2", "F3", "F4"])
+def test_jordan_form_central_matches_greedy_reference(spec):
+    # one elimination per Jordan level picks exactly the chain heads of
+    # the greedy rank test, on conjugates of Jordan matrices with blocks
+    # up to size 3 and repeated eigenvalues
+    rng = random.Random(1000 + spec.q)
+    for _ in range(10):
+        blocks = []
+        while sum(m for _, m in blocks) < 2 or rng.random() < 0.4:
+            blocks.append((rng.randrange(3), rng.randrange(1, 4)))
+            if sum(m for _, m in blocks) >= 4:
+                break
+        J = _jordan_matrix(spec, blocks)
+        G, Ginv = _unimodular(spec, J.rows, rng)
+        A0 = G * J * Ginv
+        factors = []
+        for k in sorted({k for k, _ in blocks}):
+            root = RatFun.s(spec) ** k
+            e = max(m for kk, m in blocks if kk == k)
+            factors.append((CenterPoly.x_minus(root), e))
+        Pj, Pj_inv, got = jordan_form_central(A0, factors)
+        assert (Pj, Pj_inv, got) == _greedy_jordan(A0, factors)
+        assert sorted(got) == sorted(blocks)
+        assert Pj_inv * A0 * Pj == _jordan_matrix(spec, got)
+
+
 def test_split_factors_each_minimal_polynomial_once(monkeypatch):
-    # the Jordan step reuses the power-up loop's factors of r: one
-    # factor_center call per round (F over F_4 needs n = 2, two rounds)
+    # the Jordan step reuses the power-up round's factors of r: one
+    # factor_center call for A and one for A^n (F over F_4 needs n = 2)
     calls = []
     real = split.factor_center
     monkeypatch.setattr(split, "factor_center",
@@ -267,3 +350,51 @@ def test_split_exact_block_diagonal_identity():
     assert lhs.entries[1][1] == sp.A1.entries[0][0]
     assert lhs.entries[0][1].is_zero() and lhs.entries[1][0].is_zero()
     assert sp.r0.gcd(sp.r1).degree == 0
+
+
+def _problem(p, rows):
+    n = len(rows)
+    entries = "".join("entry_%d_%d = %s\n" % (i + 1, j + 1, e)
+                      for i, row in enumerate(rows) for j, e in enumerate(row))
+    return ("[field]\np = %d\nell = 1\n\n[map]\nn = %d\n%s\n"
+            "[question]\nd = 1\n" % (p, n, entries))
+
+
+@pytest.mark.parametrize("p, rows, a", [
+    (2, [["F", "1"], ["0", "F"]], 1),
+    (3, [["F", "1"], ["0", "F"]], 1),
+    (2, [["F", "1", "0"], ["0", "F", "1"], ["0", "0", "F"]], 2),
+], ids=["F2-J2", "F3-J2", "F2-J3"])
+def test_jordan_blocks_classify_and_verify(tmp_path, capsys, p, rows, a):
+    prob = tmp_path / "p.txt"
+    prob.write_text(_problem(p, rows))
+    cert = tmp_path / "c.txt"
+    assert main(["tools", "split", str(prob)]) == 0
+    assert "a = %d\n" % a in capsys.readouterr().out
+    assert main(["classify", str(prob), "--out", str(cert)]) == 0
+    assert main(["verify", str(cert), str(prob)]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_power_up_that_does_not_settle_is_a_self_check_failure(
+        tmp_path, capsys, monkeypatch):
+    real = split.classify_factor
+
+    def always_two(g):
+        cls = real(g)
+        if not cls.is_frobenius():
+            return cls
+        return FactorClassification(g, FactorClassification.FROBENIUS,
+                                    n=2, j=cls.j)
+
+    monkeypatch.setattr(split, "classify_factor", always_two)
+    with pytest.raises(split.SplitSelfCheckError, match="A\\^2"):
+        split_endomorphism([[OrePoly.F(F2)]])
+    prob = tmp_path / "p.txt"
+    prob.write_text(_problem(2, [["F"]]))
+    cert = tmp_path / "c.txt"
+    assert main(["classify", str(prob), "--out", str(cert)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: split self-check failed: ")
+    assert err.count("\n") == 1
+    assert not cert.exists()
