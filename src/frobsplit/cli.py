@@ -10,8 +10,8 @@ bracketed vectors `[c0,c1,...]`).  Lists use ` ; ` separators.
 Exit codes: 0 ok, 1 parse/validation error, 2 a degree/size cap of the
 engine (the x- or s-degree of the central minimal polynomial, a p^e - 1
 with a factor past trial division to 2^20 while ordering a root of
-unity, a lambda with a denominator past degree 2^10, a lambda equation
-with r > 3), 3
+unity, a lambda with a denominator past degree 2^10, a power of lambda
+past degree 2^20, a lambda equation with r > 3), 3
 certificate/problem digest mismatch, 4 certificate verification failure
 (including a certificate that fails its self-check inside classify).
 """

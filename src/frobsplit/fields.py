@@ -70,6 +70,17 @@ def smallest_irreducible(p, ell):
     raise RuntimeError("no irreducible found")  # unreachable
 
 
+def barrett_slots(p, x_max):
+    """(shift, recip, w) for taking every w-bit slot of an int mod an odd
+    p at once: q_i = x_i // p is read as (x_i * recip) >> shift, exact
+    for x_i <= x_max because x_max * (recip * p - 2^shift) < 2^shift,
+    and the slot is wide enough that x_i * recip cannot carry out of it
+    (see FieldSpec._reduce)."""
+    shift = (x_max * (p - 1)).bit_length()
+    recip = -(-(1 << shift) // p)
+    return shift, recip, (x_max * recip).bit_length()
+
+
 _new = object.__new__
 
 
@@ -113,15 +124,10 @@ class FieldSpec:
         if p == 2:
             self._w = 1
         else:
-            # Slot values handed to _reduce stay below x_max (a product
-            # before reduction, or a sum a + (P_all - b)).  q_i = x_i // p
-            # is read as (x_i * recip) >> shift, exact for x_i <= x_max
-            # because x_max * (recip * p - 2^shift) < 2^shift, and the slot
-            # is wide enough that x_i * recip cannot carry out of it.
-            x_max = ell * (p - 1) ** 2 + p
-            self._shift = (x_max * (p - 1)).bit_length()
-            self._recip = -(-(1 << self._shift) // p)
-            self._w = (x_max * self._recip).bit_length()
+            # Slot values handed to _reduce stay below x_max = ell*(p-1)^2
+            # + p (a product before reduction, or a sum a + (P_all - b)).
+            self._shift, self._recip, self._w = barrett_slots(
+                p, ell * (p - 1) ** 2 + p)
             ones = sum(1 << (self._w * i) for i in range(2 * ell - 1))
             self._quot_mask = ones * ((1 << (self._w - self._shift)) - 1)
             self._p_all = self._pack((p,) * ell)
@@ -981,7 +987,11 @@ def mat_mul(A, B):
     """Product of two matrices, given as lists of rows, over any ring
     whose elements have `spec`, `is_zero()` and a classmethod
     `zero(spec)` (RatFun, OrePoly, SkewElem).  Products with a zero
-    factor are skipped.  A and B must be nonempty."""
+    factor are skipped.  A and B must be nonempty, and the rows of A as
+    long as B (checked on the first row: ValueError)."""
+    if len(A[0]) != len(B):
+        raise ValueError("%d-column times %d-row matrix"
+                         % (len(A[0]), len(B)))
     a00 = A[0][0]
     zero = type(a00).zero(a00.spec)
     out = []

@@ -11,7 +11,7 @@ independent.
 
 import itertools
 
-from .fields import CPoly, rref
+from .fields import CPoly, barrett_slots, rref
 from .mrat import MPoly, MRatFun, fp_kernel, linearize_fractions
 from .split import CapacityError
 
@@ -129,15 +129,29 @@ def fset_enumerate(desc, B, module_bound, include_zero=False, cap=100000):
     if n_tuples * len(h_elems) > cap:
         raise CapacityError("F-set enumeration of size %d exceeds cap %d"
                             % (n_tuples * len(h_elems), cap))
-    out = []
+    # A point with polynomial coordinates is looked up by its key; it
+    # can still equal a kept point with a denominator, such as (t^2)/(t)
+    # = t, which MRatFun keeps unreduced.  Other points are compared with
+    # every kept point.
+    out, keys, fractions = [], set(), []
     for ns in itertools.product(range(lo, B + 1), repeat=r):
         base = desc.gamma0
         for g, k, n in zip(desc.gammas, desc.ks, ns):
             base = _point_add(base, _point_frobenius(g, n * k))
         for h, _ in h_elems:
             pt = _point_add(base, h)
-            if not any(_point_eq(pt, q) for q in out):
-                out.append(pt)
+            if all(x.is_polynomial() for x in pt):
+                key = tuple(frozenset((e, c.packed)
+                                      for e, c in x.num.terms.items())
+                            for x in pt)
+                if key in keys or any(_point_eq(pt, q) for q in fractions):
+                    continue
+                keys.add(key)
+            elif any(_point_eq(pt, q) for q in out):
+                continue
+            else:
+                fractions.append(pt)
+            out.append(pt)
     return out
 
 
@@ -216,8 +230,12 @@ class LambdaEqInstance:
     """The equation lambda^m = c_0 + sum_{i=1}^r c_i t^(n_i) over a
     finite-extension representation of F_p(t).
 
-    `last_power` is the last power handed out by `power`, as
-    (m, lambda^m); it starts at (0, 1)."""
+    `lam` is lambda in lowest terms.  A polynomial lambda and its powers
+    are held in one univariate form (see `_PackedPowers` for F_p and
+    `_CPolyPowers` for ell > 1); no power of any other lambda is a
+    polynomial, so its powers are never formed.  `last_power` is the
+    last power handed out by `power`, as (m, lambda^m) in that form; it
+    starts at (0, 1)."""
 
     def __init__(self, lam, c):
         if not isinstance(lam, MRatFun) or lam.nvars != 1:
@@ -230,21 +248,123 @@ class LambdaEqInstance:
         if self.r < 1:
             raise ValueError("c must list c_0 .. c_r with r >= 1")
         self.spec = lam.spec
-        self.last_power = (0, MRatFun.one(lam.spec, 1))
+        self._powers = None
+        if self.lam.is_polynomial():
+            kind = _PackedPowers if self.spec.ell == 1 else _CPolyPowers
+            self._powers = kind(self.spec, self.lam.num)
+            self._degree = max(e for e, in self.lam.num.terms)
+        self.last_power = (0, None if self._powers is None
+                           else self._powers.one)
 
     def power(self, m):
-        """lambda^m: one product when m follows the last power handed
-        out, as in a sweep over m = 1, 2, ...; else a fresh power."""
-        last_m, last = self.last_power
-        lm = last * self.lam if m == last_m + 1 else self.lam ** m
-        self.last_power = (m, lm)
-        return lm
+        """lambda^m of a polynomial lambda, one step x -> x * lambda at a
+        time from the last power handed out: one step when m follows it,
+        as in a sweep over m = 1, 2, ...; from 1 when m is below it.
+        The powers are dense, so their degree is capped (CapacityError)."""
+        if m * self._degree > _LAMBDA_POWER_DEGREE_CAP:
+            raise CapacityError("lambda^%d has degree %d, above the cap %d "
+                                "of its dense powers"
+                                % (m, m * self._degree,
+                                   _LAMBDA_POWER_DEGREE_CAP))
+        last_m, x = self.last_power
+        if m < last_m:
+            last_m, x = 0, self._powers.one
+        step = self._powers.step
+        for _ in range(m - last_m):
+            x = step(x)
+        self.last_power = (m, x)
+        return x
 
     def __repr__(self):
         return "LambdaEqInstance(lambda=%r, c=%r)" % (self.lam, self.c)
 
 
+class _PackedPowers:
+    """Powers of a polynomial lambda over F_p as one Kronecker-packed
+    int: bit n is the coefficient of t^n for p = 2, and for odd p the
+    coefficient sits as a digit in [0, p) in the w-bit slot n.  A step is
+    carry-less for p = 2 (one XOR of a shifted copy per term of lambda)
+    and one int product for odd p, whose slots are then all taken mod p
+    at once (FieldSpec._reduce's Barrett form, with slots wide enough for
+    the largest slot sum x_max = terms(lambda) * (p-1)^2)."""
+
+    one = 1
+
+    def __init__(self, spec, lam):
+        self.spec, p, terms = spec, spec.p, lam.terms
+        if p == 2:
+            self._w, self._shifts = 1, tuple(e for e, in terms)
+            return
+        self._shift, self._recip, w = barrett_slots(
+            p, len(terms) * (p - 1) ** 2)
+        self._w = w
+        self._lam = sum(c.packed << (w * e) for (e,), c in terms.items())
+        # per-slot masks over `_span` bits, doubled as the powers grow:
+        # quotient bits, 2^(w-1) - 1 to add, and the top bit
+        self._span = w
+        self._masks = ((1 << (w - self._shift)) - 1, (1 << (w - 1)) - 1,
+                       1 << (w - 1))
+
+    def step(self, x):
+        if self.spec.p == 2:
+            out = 0
+            for e in self._shifts:
+                out ^= x << e
+            return out
+        x *= self._lam
+        while self._span < x.bit_length():
+            self._masks = tuple(k | k << self._span for k in self._masks)
+            self._span *= 2
+        return x - (((x * self._recip) >> self._shift) & self._masks[0]) \
+            * self.spec.p
+
+    def terms(self, x, c0, r):
+        """The terms {(n,): c} of x - c_0, or None when x - c_0 keeps a
+        constant term or has more than r terms.  Read with whole-int
+        operations: the nonzero coefficients are the set bits (p = 2), or
+        the slots whose top bit is set once 2^(w-1) - 1 is added to every
+        digit; only the at most r terms of an answer are built, by lowest
+        set bit."""
+        w, spec = self._w, self.spec
+        slot = (1 << w) - 1
+        if (x & slot) != c0.packed:
+            return None
+        x -= c0.packed
+        tops = x if w == 1 else (x + self._masks[1]) & self._masks[2]
+        if tops.bit_count() > r:
+            return None
+        out = {}
+        while tops:
+            bit = tops & -tops
+            tops ^= bit
+            n = bit.bit_length() // w - 1
+            out[(n,)] = spec.from_int((x >> (w * n)) & slot)
+        return out
+
+
+class _CPolyPowers:
+    """Powers of a polynomial lambda over F_q, ell > 1, as CPoly: a step
+    is one packed schoolbook product by lambda."""
+
+    def __init__(self, spec, lam):
+        self._lam = _dense(lam)
+        self.one = CPoly.one(spec)
+
+    def step(self, x):
+        return x * self._lam
+
+    def terms(self, x, c0, r):
+        """As `_PackedPowers.terms`."""
+        if x.coeff(0) != c0:
+            return None
+        support = [n for n, v in enumerate(x._c) if v and n]
+        if len(support) > r:
+            return None
+        return {(n,): x.coeff(n) for n in support}
+
+
 _LAMBDA_GCD_DEGREE_CAP = 1 << 10
+_LAMBDA_POWER_DEGREE_CAP = 1 << 20
 
 
 def _lowest_terms(lam):
@@ -259,18 +379,20 @@ def _lowest_terms(lam):
                             "above the cap %d of its gcd"
                             % (degree, _LAMBDA_GCD_DEGREE_CAP))
 
-    def dense(f):
-        coeffs = [spec.zero()] * (1 + max(e for e, in f.terms))
-        for (e,), c in f.terms.items():
-            coeffs[e] = c
-        return CPoly(spec, coeffs)
-
     def sparse(f):
         return MPoly(spec, 1, {(i,): c for i, c in enumerate(f.coeffs)})
 
-    num, den = dense(lam.num), dense(lam.den)
+    num, den = _dense(lam.num), _dense(lam.den)
     g = num.gcd(den)
     return MRatFun(sparse(num.exact_div(g)), sparse(den.exact_div(g)))
+
+
+def _dense(f):
+    """A nonzero MPoly in one variable as a CPoly."""
+    coeffs = [f.spec.zero()] * (1 + max(e for e, in f.terms))
+    for (e,), c in f.terms.items():
+        coeffs[e] = c
+    return CPoly(f.spec, coeffs)
 
 
 def _solve_terms(terms, coeffs, nmax, spec):
@@ -321,21 +443,13 @@ def solve_lambda_eq(inst, m):
     if inst.r > 3:
         raise CapacityError("lambda equation with r = %d terms; the solver "
                             "handles r <= 3" % inst.r)
-    lm = inst.power(m)
-    if not lm.is_polynomial():
+    if inst._powers is None:
         return []
-    spec = inst.spec
-    d = dict(lm.num.terms)
-    zero_key = (0,)
-    cur = d.get(zero_key, spec.zero()) - inst.c[0]
-    if cur.is_zero():
-        d.pop(zero_key, None)
-    else:
-        d[zero_key] = cur
-    if any(e[0] == 0 for e in d):
+    terms = inst._powers.terms(inst.power(m), inst.c[0], inst.r)
+    if terms is None:
         return []
-    nmax = max([e[0] for e in d] + [1])
-    return _solve_terms(d, inst.c[1:], nmax, spec)
+    nmax = max([n for n, in terms] + [1])
+    return _solve_terms(terms, inst.c[1:], nmax, inst.spec)
 
 
 def lambda_density(inst, M):

@@ -197,12 +197,19 @@ class SkewMatrix:
     def __getitem__(self, ij):
         return self.entries[ij[0]][ij[1]]
 
+    def _same_shape(self, other):
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise ValueError("%d x %d plus %d x %d matrix" % (
+                self.rows, self.cols, other.rows, other.cols))
+
     def __add__(self, other):
+        self._same_shape(other)
         return SkewMatrix(self.spec,
                           [[a + b for a, b in zip(ra, rb)]
                            for ra, rb in zip(self.entries, other.entries)])
 
     def __sub__(self, other):
+        self._same_shape(other)
         return SkewMatrix(self.spec,
                           [[a - b for a, b in zip(ra, rb)]
                            for ra, rb in zip(self.entries, other.entries)])

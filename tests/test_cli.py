@@ -444,6 +444,23 @@ def test_lambda_with_a_denominator_past_the_gcd_cap_exit_2(tmp_path, capsys):
         and err.count("\n") == 1
 
 
+def test_lambda_power_past_the_degree_cap_exit_2(tmp_path, capsys):
+    # the sweep holds lambda^m dense: a sparse lambda of huge degree is
+    # refused before its first power is formed
+    prob = tmp_path / "p.txt"
+    prob.write_text(LAMBDA.replace("t1 + 1", "t1^1000000000 + 1"))
+    assert main(["tools", "lambda-density", str(prob), "--M", "4"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: bound exhausted: lambda^1 has degree 1000000000,"
+                   " above the cap 1048576 of its dense powers\n")
+    prob.write_text(LAMBDA.replace("t1 + 1", "t1^4096 + t1"))
+    assert main(["tools", "lambda-density", str(prob), "--M", "300"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: bound exhausted: "
+                                        "lambda^257 has degree 1052672")
+
+
 def test_input_checks_fire_under_optimize_flag(tmp_path):
     import os
     import subprocess

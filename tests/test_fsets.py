@@ -59,6 +59,20 @@ def test_fset_dedup_in_char_2():
     assert len(pts) == 2
 
 
+def test_fset_dedup_finds_a_polynomial_point_among_fractions():
+    # h = (t^2 + t) / t stays unreduced in MRatFun, so 1 + h + F(h) is
+    # kept as a fraction; the later polynomial point t + F(t + 1) =
+    # t^2 + t + 1 equals it and must not be kept a second time
+    t, one = var(F2), const(F2, 1)
+    h = MRatFun((t * t + t).num, t.num)
+    desc = FSetDescriptor((t,), [(t + one,)], [1], FpFModule([(h,)]))
+    pts = fset_enumerate(desc, 1, 1, include_zero=True)
+    assert [repr(p[0]) for p in pts] == [
+        "1", "(t1^4) / (t1^2)", "(t1^2) / (t1)",
+        "(t1^5 + t1^4 + t1^3) / (t1^3)"]
+    assert pts[3][0] == t * t + t + one
+
+
 def test_module_contains():
     t = var(F2)
     g1, g2 = (t,), (t + const(F2, 1),)

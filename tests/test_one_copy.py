@@ -330,6 +330,17 @@ def test_skew_matrix_products_with_an_empty_side():
     assert (empty * empty).rows == 0
 
 
+def test_mismatched_shapes_raise_instead_of_truncating():
+    F2 = FieldSpec.get(2, 1)
+    I1, I2 = SkewMatrix.identity(F2, 1), SkewMatrix.identity(F2, 2)
+    for op in (operator.add, operator.sub):
+        with pytest.raises(ValueError, match="2 x 2 plus 1 x 1"):
+            op(I2, I1)
+    one = OrePoly.one(F2)
+    with pytest.raises(ValueError, match="3-column times 1-row"):
+        mat_mul([[one, one, one]], [[one]])
+
+
 # ---------------------------------------------------------------------------
 # the input checks that replaced asserts run under python -O
 

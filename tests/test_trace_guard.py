@@ -211,15 +211,20 @@ def test_traced_fset_lab_tools_fire_the_expected_spans(tmp_path):
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             codes = [main(["tools", "lambda-density", str(lam),
-                           "--M", str(M)]),
-                     main(["tools", "fset", str(fset)]),
-                     main(["tools", "independence", str(lam),
-                           "--M", "2", "--D", "2"])]
+                           "--M", str(M)])]
+            # the sweep runs on packed powers of lambda: an MPoly product
+            # here means it fell back to MPoly
+            sweep = t.summary()
+            codes += [main(["tools", "fset", str(fset)]),
+                      main(["tools", "independence", str(lam),
+                            "--M", "2", "--D", "2"])]
     finally:
         t.uninstall()
     assert codes == [0, 0, 0]
     # (t + 1)^m = 1 + t^n over F_3 exactly for m = 1, 3, 9
     assert "count = 3/%d" % M in out.getvalue()
+    assert sweep["fsets.solve_lambda_eq.calls"] == M
+    assert sweep["mrat.MPoly.mul.calls"] == 0
     summary = t.summary()
     assert t.missing("fset-lab", summary) == []
     assert summary["fsets.solve_lambda_eq.calls"] == M
