@@ -14,7 +14,8 @@ import random
 from .fields import (FieldSpec, RatFun, mat_mul, power, rref, rref_kernel,
                      rref_packed)
 from .fqfactor import embedding, monic_irreducibles
-from .mrat import MPoly, MRatFun, fp_kernel, linearize_fractions
+from .mrat import (MPoly, MRatFun, common_denominator, fp_kernel,
+                   frobenius_cofactors, linearize_fractions)
 from .ore import OrePoly
 from .skew import SkewMatrix
 from .split import split_endomorphism
@@ -306,11 +307,14 @@ def check_independence(gammas, deltas, D, k):
     tags = []
     for label, fam in (("gamma", gammas), ("delta", deltas)):
         for i, g in enumerate(fam):
+            # g^(p^e) = num^(p^e) den^(p^D - p^e) / den^(p^D): one
+            # denominator per function, not one per Frobenius power
             ge = _mrat_embed(g, big)
+            top, cofs = frobenius_cofactors(ge.den, D)
             for e in range(D + 1):
-                gfe = ge.frobenius_pow(e)
+                num = ge.num.frobenius_pow(e) * cofs[e]
                 for b in range(big.ell):
-                    funcs.append(gfe * w ** b)
+                    funcs.append(MRatFun(num * w ** b, top))
                     tags.append((label, i, e, b))
     matrix = linearize_fractions(funcs)
     for vec in fp_kernel(matrix, big.p):
@@ -329,11 +333,56 @@ def check_independence(gammas, deltas, D, k):
 # orbits and density
 
 def orbit(A, alpha, M):
-    """First M points of the orbit of alpha under the additive map A."""
-    pts = [list(alpha)]
-    for _ in range(M - 1):
-        pts.append(A.apply(pts[-1]))
+    """First M points of the orbit of alpha under the additive map A.
+
+    A polynomial alpha is iterated by `AdditiveMap.apply`.  Otherwise
+    every point is carried over one denominator: alpha over the product
+    L of its distinct denominators, and a step sends n_j / L to
+    sum_jk a_ijk n_j^(p^k) L^(p^top - p^k) over L^(p^top), top the
+    largest F-degree in A.  Each denominator is then a Frobenius power of
+    the first, with its term count."""
+    if all(c.is_polynomial() for c in alpha):
+        pts = [list(alpha)]
+        for _ in range(M - 1):
+            pts.append(A.apply(pts[-1]))
+        return pts
+    spec = alpha[0].spec
+    columns = _columns(A, embedding(A.spec, spec))
+    top = max(0, max(t for t, _ in columns))
+    L, nums = common_denominator(alpha)
+    pts = [[MRatFun(n, L) for n in nums]]
+    Ltop, cofs = frobenius_cofactors(L, top)
+    zero = MPoly.zero(spec, alpha[0].nvars)
+    for step in range(M - 1):
+        if step:  # the cofactors of L^(p^top) are Frobenius powers
+            Ltop = Ltop.frobenius_pow(top)
+            cofs = [c.frobenius_pow(top) for c in cofs]
+        out = [zero] * A.N
+        for n, (_, col) in zip(nums, columns):
+            if n.is_zero():
+                continue
+            shifted = {}  # k -> n^(p^k) L^(p^top - p^k)
+            for i, terms in col:
+                for k, a in terms:
+                    if k not in shifted:
+                        shifted[k] = n.frobenius_pow(k) * cofs[k]
+                    out[i] = out[i] + shifted[k] * a
+        nums = out
+        pts.append([MRatFun(n, Ltop) for n in nums])
     return pts
+
+
+def _columns(A, embed):
+    """Per column j of A: its top F-degree, and (i, [(k, embed(a_ijk))])
+    over the nonzero entries and coefficients."""
+    out = []
+    for j in range(A.N):
+        col = [A.entries[i][j] for i in range(A.N)]
+        out.append((max(P.degree for P in col),
+                    [(i, [(k, embed(a)) for k, a in enumerate(P.coeffs)
+                          if not a.is_zero()])
+                     for i, P in enumerate(col) if not P.is_zero()]))
+    return out
 
 
 def orbit_sequence(h, A0, A1, alpha0, alpha1, M):
@@ -406,14 +455,7 @@ def density_check_orbit(A, alpha, M, D, seed=0, trials=3):
     A's coefficients are embedded into the specialization field once."""
     big = _specialization_field(alpha[0].spec)
     embed = embedding(A.spec, big)
-    columns = []  # per column j: top F-degree, and (i, [(k, a_ijk)])
-    for j in range(A.N):
-        col = [A.entries[i][j] for i in range(A.N)]
-        columns.append((max(P.degree for P in col),
-                        [(i, [(k, embed(a).packed)
-                              for k, a in enumerate(P.coeffs)
-                              if not a.is_zero()])
-                         for i, P in enumerate(col) if not P.is_zero()]))
+    columns = _columns(A, lambda a: embed(a).packed)
 
     def specialize(values, emb):
         x = [c.evaluate(values, emb).packed for c in alpha]

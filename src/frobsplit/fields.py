@@ -1,7 +1,7 @@
 """Exact arithmetic foundations: prime fields, extension fields F_{p^ell},
 univariate polynomials and rational functions over them, row reduction
-over any division ring, and division-free characteristic polynomials and
-determinants over the rational function field.
+over any division ring, and division-free characteristic polynomials
+over the rational function field.
 
 All values are immutable; every operation is a pure function.
 
@@ -1009,21 +1009,6 @@ def mat_mul(A, B):
             row.append(acc)
         out.append(row)
     return out
-
-
-def mat_identity(spec, n):
-    one = RatFun.one(spec)
-    zero = RatFun.zero(spec)
-    return [[one if i == j else zero for j in range(n)] for i in range(n)]
-
-
-def determinant(M):
-    """Exact determinant of a square RatFun matrix: (-1)^n times the
-    constant coefficient of `char_poly`."""
-    if not M:
-        raise ValueError("empty matrix")
-    c0 = char_poly(M)[0]
-    return -c0 if len(M) % 2 else c0
 
 
 def char_poly(M):

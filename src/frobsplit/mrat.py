@@ -6,6 +6,13 @@ huge (iterated Frobenius), which stays cheap because the term count is
 what matters.  Canonical form: denominator's leading coefficient under
 graded-lexicographic order is 1.  Equality of fractions is decided by
 cross multiplication (no multivariate gcd, by design).
+
+Without a gcd a sum of fractions can only grow its denominator, so every
+sum of many fractions goes over one denominator, built once:
+`common_denominator` puts a list over the product L of its distinct
+denominators (prefix and suffix products, not one product per fraction),
+and `frobenius_cofactors` puts L, L^p, ..., L^(p^top) over L^(p^top),
+whose cofactors are products of termwise Frobenius powers of L^(p-1).
 """
 
 import operator
@@ -278,6 +285,51 @@ class MRatFun:
 
 
 # ---------------------------------------------------------------------------
+# one denominator for many fractions
+
+def common_denominator(funcs):
+    """Put a nonempty list of MRatFun (same spec/nvars) over one
+    denominator L, the product of their distinct denominators in order of
+    first appearance.  Returns L and the numerators n_i with
+    funcs[i] = n_i / L.  The product of the other denominators is made
+    once per distinct denominator, from prefix and suffix products."""
+    dens, index = [], []
+    for f in funcs:
+        for i, d in enumerate(dens):
+            if d is f.den or d == f.den:
+                break
+        else:
+            i = len(dens)
+            dens.append(f.den)
+        index.append(i)
+    one = MPoly.one(funcs[0].spec, funcs[0].nvars)
+    prefix = [one]
+    for d in dens[:-1]:
+        prefix.append(prefix[-1] * d)
+    others = [None] * len(dens)
+    suffix = one
+    for i in range(len(dens) - 1, -1, -1):
+        others[i] = prefix[i] * suffix
+        suffix = suffix * dens[i]
+    return suffix, [f.num if others[i].is_one() else f.num * others[i]
+                    for f, i in zip(funcs, index)]
+
+
+def frobenius_cofactors(L, top):
+    """L^(p^top) and the cofactors c_k = L^(p^top - p^k), k = 0 .. top,
+    with L^(p^k) * c_k = L^(p^top).  c_k is the product of the termwise
+    Frobenius powers (L^(p-1))^(p^m) for k <= m < top: no gcd and no
+    division.  The cofactors of L^(p^top) itself are the termwise
+    Frobenius powers of these."""
+    step = L ** (L.spec.p - 1)
+    cofs = [MPoly.one(L.spec, L.nvars)]
+    for m in range(top - 1, -1, -1):
+        cofs.append(cofs[-1] * step.frobenius_pow(m))
+    cofs.reverse()
+    return L.frobenius_pow(top), cofs
+
+
+# ---------------------------------------------------------------------------
 # F_p-linear algebra helpers over the monomials of MRatFun collections
 
 def fp_kernel(matrix, p):
@@ -299,38 +351,19 @@ def linearize_fractions(funcs):
     whose columns correspond to the functions: a vector c is in the
     kernel iff sum_i c_i * funcs[i] = 0 exactly.
 
-    All functions are brought over a common denominator (product of the
-    distinct denominators) and numerator monomial coefficients are split
-    into F_p components."""
+    All functions are brought over `common_denominator`, and the rows are
+    the F_p slots of the packed numerator coefficients, one row per
+    monomial (grlex order) and slot."""
     if not funcs:
         return []
     spec = funcs[0].spec
-    nvars = funcs[0].nvars
-    dens = []
-    for f in funcs:
-        if not any(f.den == d for d in dens):
-            dens.append(f.den)
-    common = MPoly.one(spec, nvars)
-    for d in dens:
-        common = common * d
-    numerators = []
-    for f in funcs:
-        extra = MPoly.one(spec, nvars)
-        skipped = False
-        for d in dens:
-            if not skipped and d == f.den:
-                skipped = True
-                continue
-            extra = extra * d
-        numerators.append(f.num * extra)
-    monomials = sorted({e for n in numerators for e in n.terms},
-                       key=_grlex_key)
+    w, mask = spec._w, spec._slot_mask
+    _, numerators = common_denominator(funcs)
+    packed = [{e: c.packed for e, c in n.terms.items()} for n in numerators]
     rows = []
-    for e in monomials:
+    for e in sorted({e for n in packed for e in n}, key=_grlex_key):
+        vals = [n.get(e, 0) for n in packed]
         for comp in range(spec.ell):
-            row = []
-            for n in numerators:
-                c = n.terms.get(e)
-                row.append(0 if c is None else c.coeffs[comp])
-            rows.append(row)
+            shift = w * comp
+            rows.append([(v >> shift) & mask for v in vals])
     return rows

@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 from frobsplit import split
 from frobsplit.cli import parse_problem
 from frobsplit.fields import (CPoly, FieldSpec, RatFun, char_poly,
-                              mat_identity, mat_mul, power)
+                              mat_mul, power)
 from frobsplit.skew import CenterPoly, SplitSelfCheckError, companion_matrix
 from frobsplit.split import (CapacityError, FactorClassification,
                              classify_factor, factor_center)
@@ -25,6 +25,12 @@ from frobsplit.split import (CapacityError, FactorClassification,
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 F2 = FieldSpec.get(2, 1)
 F3 = FieldSpec.get(3, 1)
+
+
+def mat_identity(spec, n):
+    one = RatFun.one(spec)
+    zero = RatFun.zero(spec)
+    return [[one if i == j else zero for j in range(n)] for i in range(n)]
 
 
 # ---------------------------------------------------------------------------

@@ -6,13 +6,28 @@ import random
 import pytest
 
 from frobsplit.fields import (CPoly, FieldSpec, RatFun, char_poly,
-                              determinant, kernel_basis, lift_cpoly,
-                              mat_identity, mat_mul, power, prime_coords,
-                              rref, smallest_irreducible, solve_linear)
+                              kernel_basis, lift_cpoly, mat_mul, power,
+                              prime_coords, rref, smallest_irreducible,
+                              solve_linear)
 
 F2 = FieldSpec.get(2, 1)
 F4 = FieldSpec.get(2, 2)
 F9 = FieldSpec.get(3, 2)
+
+
+def mat_identity(spec, n):
+    one = RatFun.one(spec)
+    zero = RatFun.zero(spec)
+    return [[one if i == j else zero for j in range(n)] for i in range(n)]
+
+
+def determinant(M):
+    """Exact determinant of a square RatFun matrix: (-1)^n times the
+    constant coefficient of `char_poly`."""
+    if not M:
+        raise ValueError("empty matrix")
+    c0 = char_poly(M)[0]
+    return -c0 if len(M) % 2 else c0
 
 
 def test_field_spec_validation():
