@@ -310,11 +310,11 @@ def check_independence(gammas, deltas, D, k):
             # g^(p^e) = num^(p^e) den^(p^D - p^e) / den^(p^D): one
             # denominator per function, not one per Frobenius power
             ge = _mrat_embed(g, big)
-            top, cofs = frobenius_cofactors(ge.den, D)
+            den_top, cofs = frobenius_cofactors(ge.den, D)
             for e in range(D + 1):
                 num = ge.num.frobenius_pow(e) * cofs[e]
                 for b in range(big.ell):
-                    funcs.append(MRatFun(num * w ** b, top))
+                    funcs.append(MRatFun(num * w ** b, den_top))
                     tags.append((label, i, e, b))
     matrix = linearize_fractions(funcs)
     for vec in fp_kernel(matrix, big.p):
@@ -335,17 +335,11 @@ def check_independence(gammas, deltas, D, k):
 def orbit(A, alpha, M):
     """First M points of the orbit of alpha under the additive map A.
 
-    A polynomial alpha is iterated by `AdditiveMap.apply`.  Otherwise
-    every point is carried over one denominator: alpha over the product
+    Every point is carried over one denominator: alpha over the product
     L of its distinct denominators, and a step sends n_j / L to
     sum_jk a_ijk n_j^(p^k) L^(p^top - p^k) over L^(p^top), top the
     largest F-degree in A.  Each denominator is then a Frobenius power of
-    the first, with its term count."""
-    if all(c.is_polynomial() for c in alpha):
-        pts = [list(alpha)]
-        for _ in range(M - 1):
-            pts.append(A.apply(pts[-1]))
-        return pts
+    the first, with its term count; for a polynomial alpha it stays 1."""
     spec = alpha[0].spec
     columns = _columns(A, embedding(A.spec, spec))
     top = max(0, max(t for t, _ in columns))
@@ -365,7 +359,8 @@ def orbit(A, alpha, M):
             for i, terms in col:
                 for k, a in terms:
                     if k not in shifted:
-                        shifted[k] = n.frobenius_pow(k) * cofs[k]
+                        nk = n.frobenius_pow(k)
+                        shifted[k] = nk if cofs[k].is_one() else nk * cofs[k]
                     out[i] = out[i] + shifted[k] * a
         nums = out
         pts.append([MRatFun(n, Ltop) for n in nums])

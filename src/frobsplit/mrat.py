@@ -357,6 +357,9 @@ def linearize_fractions(funcs):
     if not funcs:
         return []
     spec = funcs[0].spec
+    # the slot read of FqElem.coeffs, inlined: reading `.coeffs[comp]`
+    # builds a tuple per coefficient and slot and made this function
+    # 1.6 times slower on the fset-lab independence jobs (CHANGES.md)
     w, mask = spec._w, spec._slot_mask
     _, numerators = common_denominator(funcs)
     packed = [{e: c.packed for e, c in n.terms.items()} for n in numerators]

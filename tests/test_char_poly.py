@@ -11,23 +11,9 @@ from hypothesis import given, settings, strategies as st
 from frobsplit.fields import (CPoly, FieldSpec, RatFun, char_poly,
                               mat_mul, power)
 from frobsplit.skew import CenterPoly, companion_matrix
+from ratmat import determinant, mat_identity
 
 FIELDS = [FieldSpec.get(p, ell) for p in (2, 3, 5) for ell in (1, 2)]
-
-
-def mat_identity(spec, n):
-    one = RatFun.one(spec)
-    zero = RatFun.zero(spec)
-    return [[one if i == j else zero for j in range(n)] for i in range(n)]
-
-
-def determinant(M):
-    """Exact determinant of a square RatFun matrix: (-1)^n times the
-    constant coefficient of `char_poly`."""
-    if not M:
-        raise ValueError("empty matrix")
-    c0 = char_poly(M)[0]
-    return -c0 if len(M) % 2 else c0
 
 
 # ---------------------------------------------------------------------------

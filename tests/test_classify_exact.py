@@ -21,16 +21,11 @@ from frobsplit.fields import (CPoly, FieldSpec, RatFun, char_poly,
 from frobsplit.skew import CenterPoly, SplitSelfCheckError, companion_matrix
 from frobsplit.split import (CapacityError, FactorClassification,
                              classify_factor, factor_center)
+from ratmat import mat_identity
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 F2 = FieldSpec.get(2, 1)
 F3 = FieldSpec.get(3, 1)
-
-
-def mat_identity(spec, n):
-    one = RatFun.one(spec)
-    zero = RatFun.zero(spec)
-    return [[one if i == j else zero for j in range(n)] for i in range(n)]
 
 
 # ---------------------------------------------------------------------------

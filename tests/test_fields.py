@@ -9,25 +9,11 @@ from frobsplit.fields import (CPoly, FieldSpec, RatFun, char_poly,
                               kernel_basis, lift_cpoly, mat_mul, power,
                               prime_coords, rref, smallest_irreducible,
                               solve_linear)
+from ratmat import determinant, mat_identity
 
 F2 = FieldSpec.get(2, 1)
 F4 = FieldSpec.get(2, 2)
 F9 = FieldSpec.get(3, 2)
-
-
-def mat_identity(spec, n):
-    one = RatFun.one(spec)
-    zero = RatFun.zero(spec)
-    return [[one if i == j else zero for j in range(n)] for i in range(n)]
-
-
-def determinant(M):
-    """Exact determinant of a square RatFun matrix: (-1)^n times the
-    constant coefficient of `char_poly`."""
-    if not M:
-        raise ValueError("empty matrix")
-    c0 = char_poly(M)[0]
-    return -c0 if len(M) % 2 else c0
 
 
 def test_field_spec_validation():
