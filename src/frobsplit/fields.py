@@ -788,7 +788,10 @@ class RatFun:
         return RatFun(self.num ** e, self.den ** e)
 
     def frobenius(self, i=1):
-        return RatFun(self.num.frobenius(i), self.den.frobenius(i))
+        # a ring automorphism of F_q[s] fixing 1 keeps num, den coprime
+        # and den monic
+        return RatFun(self.num.frobenius(i), self.den.frobenius(i),
+                      _canonical=True)
 
     def __eq__(self, other):
         return (isinstance(other, RatFun) and self.num == other.num
@@ -816,28 +819,6 @@ class RatFunRing:
         self._raw_zero = RatFun.zero(spec)
         self._raw_one = RatFun.one(spec)
         self._raw_int = lambda n: RatFun.from_int(spec, n)
-
-
-def prime_coords(rf):
-    """F_p(s)-coordinates of rf in F_q(s) w.r.t. the basis 1, w, ..., w^(ell-1).
-
-    Returns a list of ell RatFun with all coefficients in the prime field.
-    """
-    spec = rf.spec
-    ell = spec.ell
-    if ell == 1:
-        return [rf]
-    cof = CPoly.one(spec)
-    for j in range(1, ell):
-        cof = cof * rf.den.frobenius(j)
-    num2 = rf.num * cof
-    den2 = rf.den * cof  # = Norm(den), lies in F_p[s]
-    if not den2.in_prime_field():
-        raise AssertionError("norm denominator not in prime field")
-    w, mask = spec._w, spec._slot_mask
-    return [RatFun(_poly(CPoly, spec, [(c >> (w * k)) & mask
-                                       for c in num2._c]), den2)
-            for k in range(ell)]
 
 
 # ---------------------------------------------------------------------------

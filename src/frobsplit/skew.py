@@ -3,15 +3,23 @@ matrices over it, division-ring Gaussian elimination, the tilde embedding
 into M_{n*ell}(F_q(F^ell)), and minimal polynomials over the center.
 
 K is an ell-dimensional vector space over F_q(s), s = F^ell, and tilde is
-its regular representation: an element is inverted by one linear solve
-against its tilde matrix, and a central multiplier Q * P = c(F^ell) of an
-Ore polynomial P is read off P^{-1} by clearing its central denominators.
+its regular representation, built straight from the parts of each entry:
+an element is inverted by one linear solve against its tilde matrix, and
+a central multiplier Q * P = c(F^ell) of an Ore polynomial P is read off
+P^{-1} by clearing its central denominators.  The minimal polynomial of a
+matrix A over the center F_p(s) is found on the top row block of
+tilde(A)^k, which holds the parts of A^k: scaled by the lcm d of tilde(A)'s
+denominators (in F_p[s]) and kept free of its content over F_p[s], the
+block stays a polynomial matrix over F_q[s], and only an F_p(s) scalar
+separates its prime coordinates from those of A^k, which leaves the
+first relation among the powers where it was.
 """
 
 from functools import cache
 
-from .fields import (CPoly, RatFun, RatFunRing, char_poly, mat_mul, power,
-                     prime_coords, rref, rref_kernel, solve_linear)
+from .fields import (CPoly, FieldSpec, RatFun, RatFunRing, _poly, char_poly,
+                     lift_cpoly, mat_mul, power, rref, rref_kernel,
+                     solve_linear)
 from .ore import OrePoly
 
 
@@ -277,21 +285,29 @@ def tilde(A):
     by A on center-decomposed rows: (BA)_parts = B_parts * tilde(A).
 
     A is an n x n SkewMatrix; the result is an (n*ell) x (n*ell) matrix
-    over RatFun, organized in ell x ell blocks of n x n."""
+    over RatFun, organized in ell x ell blocks of n x n.  Row i*n + m is
+    F^i times row m of A, read off the parts a_t of each entry without a
+    product in K: F^i * a_t * F^t = phi^i(a_t) * s^((i+t) // ell) *
+    F^((i+t) % ell)."""
     spec = A.spec
     n = A.rows
     if A.cols != n:
         raise ValueError("tilde of a non-square matrix")
     ell = spec.ell
     N = n * ell
-    out = [[RatFun.zero(spec) for _ in range(N)] for _ in range(N)]
-    for i in range(ell):
-        Fi = SkewElem.F(spec, i)
-        for m in range(n):
-            for c in range(n):
-                prod = Fi * A.entries[m][c]
-                for j in range(ell):
-                    out[i * n + m][j * n + c] = prod.parts[j]
+    s = RatFun.s(spec)
+    out = [[None] * N for _ in range(N)]
+    for m, row in enumerate(A.entries):
+        for c, e in enumerate(row):
+            for i in range(ell):
+                for t, a in enumerate(e.parts):
+                    if i:
+                        a = a.frobenius(i)
+                    j = i + t
+                    if j >= ell:
+                        j -= ell
+                        a = a * s
+                    out[i * n + m][j * n + c] = a
     return out
 
 
@@ -429,41 +445,99 @@ def min_poly_center(A):
     """Monic least-degree Q over F_p(s) with Q(A) = 0, for a square
     SkewMatrix A.  Terminates by the Cayley-Hamilton bound deg Q <= n*ell.
 
-    Krylov style: Q is the first linear relation over F_p(s) among
-    I, A, A^2, ..., each power read as one column of its coordinates
-    (every entry part split by `prime_coords`).  The columns are kept in
-    Bareiss fraction-free echelon form over F_q[s] as powers are added:
-    the steps taken so far (pivot row swap, pivot, heads below it,
-    previous pivot) are replayed on each new column only, so no earlier
-    column is reduced again.  With R = n^2*ell^2 rows and m <= n*ell
-    powers this costs about R*m^2/2 polynomial operations, against
-    R*m^3/3 when the elimination is redone at every power.
+    Q is the first linear relation over F_p(s) among I, A, A^2, ..., and
+    it is found on the top row block of tilde(A)^k: rows 0..n-1 of
+    tilde(B) are exactly the parts of the entries of B, and tilde(A^k) =
+    tilde(A)^k.  With T = tilde(A) and d the lcm of T's denominators,
+    T' = d*T is a matrix over F_q[s].  d lies in F_p[s]: row block i of
+    T holds phi^i of the parts of A (times s past F^ell, which changes
+    only the power of the phi-fixed factor s), so d is monic and fixed by
+    phi.  The block X_k = X_{k-1} * T' / g_k stays over F_q[s], g_k its
+    content over F_p[s]: the gcd of its prime coordinates, the F_p-slots
+    of its packed coefficients.  So X_k holds the parts of A^k times
+    scale_k = d^k / (g_1 ... g_k), an F_p(s) scalar; a content over F_q
+    would not be one, and without content removal d^k piles up on inputs
+    with central denominators.  The prime coordinates of X_k, polynomials
+    over F_p = FieldSpec(p, 1), are column k.
 
-    Each column is cleared of denominators by the lcm d_k of its own
-    entries, not row by row.  Scaling column k by d_k scales only
-    coordinate k of a kernel vector: w' is a relation among the cleared
-    columns exactly when (d_k * w'_k)_k is one among the powers.  The
-    first column without a pivot depends on the earlier ones, which are
-    independent; back substitution against their stored echelon entries
-    gives w'.  The monic Q of least degree is unique, so it does not
-    depend on how rows or columns were scaled."""
+    Scaling column k by an F_p(s) scalar scales only coordinate k of a
+    kernel vector: w is a relation among the columns exactly when
+    (w_k * scale_k)_k is one among the powers.  The first column that
+    depends on the earlier ones gives the least degree, and the monic Q
+    of least degree is unique, so the answer does not depend on the
+    scales.  The columns are kept in Bareiss fraction-free echelon form
+    over F_p[s] as powers are added: the steps taken so far (pivot row
+    swap, pivot, heads below it, previous pivot) are replayed on each new
+    column only, so no earlier column is reduced again.  With R =
+    n^2*ell^2 rows and m <= n*ell powers this costs about R*m^2/2
+    polynomial operations.  The first column without a pivot is back
+    substituted against the stored echelon entries over F_p(s)."""
     spec = A.spec
     n = A.rows
-    one = CPoly.one(spec)
-    cols = []  # per power k: (pivot row swapped in, d_k, echelon column k)
-    B = SkewMatrix.identity(spec, n)
-    for k in range(n * spec.ell + 1):
+    ell = spec.ell
+    N = n * ell
+    fp = spec if ell == 1 else FieldSpec.get(spec.p, 1)
+    T = tilde(A)
+    dens = {e.den for row in T for e in row}
+    d = CPoly.one(spec)
+    for den in dens:
+        d = d.lcm(den)
+    if not d.in_prime_field():
+        raise SplitSelfCheckError("the denominators of tilde(A) have an "
+                                  "lcm outside F_p[s]")
+    cof = {den: d.exact_div(den) for den in dens}
+    # T' = d*T as sparse columns: column J lists (I, T'[I][J]) where nonzero
+    cols_T = [[] for _ in range(N)]
+    for I, row in enumerate(T):
+        for J, e in enumerate(row):
+            if not e.is_zero():
+                c = cof[e.den]
+                cols_T[J].append((I, e.num if c.is_one() else e.num * c))
+    d_fp = lift_cpoly(d, fp)
+    zero, one = CPoly.zero(spec), CPoly.one(spec)
+    p, mask = spec.p, spec._slot_mask
+    slots = [spec._w * t for t in range(ell)]
+    fp_zeros = [CPoly.zero(fp)] * ell
+
+    def prime_coordinates(X):
+        if ell == 1:
+            return [x for row in X for x in row]
+        out = []
+        for row in X:
+            for x in row:
+                c = x._c
+                if not c:
+                    out += fp_zeros
+                elif max(c) < p:
+                    out.append(_poly(CPoly, fp, c))
+                    out += fp_zeros[1:]
+                else:
+                    out += [_poly(CPoly, fp, [(a >> sh) & mask for a in c])
+                            for sh in slots]
+        return out
+
+    X = [[one if J == m else zero for J in range(N)] for m in range(n)]
+    v = prime_coordinates(X)
+    scale = RatFun.one(fp)
+    cols = []  # per power k: (pivot row swapped in, scale_k, echelon column k)
+    for k in range(N + 1):
         if k:
-            B = B * A
-        coords = [c for row in B.entries for e in row for part in e.parts
-                  for c in prime_coords(part)]
-        d = one
-        for c in coords:
-            if not c.den.is_one():
-                d = d.lcm(c.den)
-        v = [c.num if c.den == d else
-             c.num * (d if c.den.is_one() else d.exact_div(c.den))
-             for c in coords]
+            X = [[_sparse_dot(row, col, zero) for col in cols_T] for row in X]
+            v = prime_coordinates(X)
+            g = None
+            for x in v:
+                if x._c:
+                    g = x.monic() if g is None else g.gcd(x)
+                    if not g.degree:
+                        break
+            if g is None or not g.degree:
+                g = CPoly.one(fp)
+            else:
+                g_spec = lift_cpoly(g, spec)
+                X = [[x.exact_div(g_spec) if x._c else x for x in row]
+                     for row in X]
+                v = prime_coordinates(X)
+            scale = scale * RatFun(d_fp, g)
         rows = len(v)
         prev = None
         for t, (swap, _, col) in enumerate(cols):
@@ -471,20 +545,20 @@ def min_poly_center(A):
             piv, top = col[t], v[t]
             for i in range(t + 1, rows):
                 x, head = v[i], col[i]
-                if head.is_zero() or top.is_zero():
-                    if x.is_zero():
-                        continue
+                if head._c and top._c:
+                    x = piv * x - head * top
+                elif x._c:
                     x = piv * x
                 else:
-                    x = piv * x - head * top
-                if prev is not None and not x.is_zero():
+                    continue
+                if prev is not None and x._c:
                     x = x.exact_div(prev)
                 v[i] = x
-            prev = piv
-        pr = next((i for i in range(k, rows) if not v[i].is_zero()), None)
+            prev = None if piv.is_one() else piv
+        pr = next((i for i in range(k, rows) if v[i]._c), None)
         if pr is not None:
             v[k], v[pr] = v[pr], v[k]
-            cols.append((pr, d, v))
+            cols.append((pr, scale, v))
             continue
         # v[:k] = -(echelon columns 0..k-1) * w', with w'_k = 1
         w = [None] * k
@@ -495,12 +569,24 @@ def min_poly_center(A):
                 if not u.is_zero():
                     acc = acc + RatFun(u, _canonical=True) * w[j]
             w[t] = -(acc / RatFun(cols[t][2][t], _canonical=True))
-        inv_d = RatFun(one, d)
-        coeffs = [w[j] * RatFun(cols[j][1], _canonical=True) * inv_d
-                  for j in range(k)] + [RatFun.one(spec)]
-        return CenterPoly(spec, coeffs).assert_prime_field()
+        inv_scale = scale.inverse()
+        coeffs = [w[j] * cols[j][1] * inv_scale for j in range(k)]
+        return CenterPoly(spec, [
+            RatFun(lift_cpoly(c.num, spec), lift_cpoly(c.den, spec),
+                   _canonical=True) for c in coeffs]
+            + [RatFun.one(spec)]).assert_prime_field()
     raise SplitSelfCheckError("no annihilating polynomial below the "
                               "Cayley-Hamilton bound")
+
+
+def _sparse_dot(row, col, zero):
+    """Sum of row[I] * t over the (I, t) of a sparse column."""
+    acc = zero
+    for I, t in col:
+        x = row[I]
+        if x._c:
+            acc = acc + x * t
+    return acc
 
 
 def char_poly_tilde(A):

@@ -7,9 +7,8 @@ import pytest
 
 from frobsplit.fields import (CPoly, FieldSpec, RatFun, char_poly,
                               kernel_basis, lift_cpoly, mat_mul, power,
-                              prime_coords, rref, smallest_irreducible,
-                              solve_linear)
-from ratmat import determinant, mat_identity
+                              rref, smallest_irreducible, solve_linear)
+from ratmat import determinant, mat_identity, prime_coords
 
 F2 = FieldSpec.get(2, 1)
 F4 = FieldSpec.get(2, 2)

@@ -1,19 +1,21 @@
-"""Minimal polynomials over the center: the Krylov-incremental
-`min_poly_center` against a reference that eliminates afresh at every
-power, and the split pipeline's reuse of the minimal polynomials it
-already holds."""
+"""Minimal polynomials over the center: `min_poly_center` on the top row
+block of tilde(A)^k against a reference that eliminates afresh at every
+power, the direct `tilde` against the products F^i * a in K it replaced,
+and the split pipeline's reuse of the minimal polynomials it already
+holds."""
 
 import random
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from frobsplit import split
 from frobsplit.cli import main
-from frobsplit.fields import CPoly, FieldSpec, RatFun, kernel_basis, \
-    prime_coords
+from frobsplit.fields import CPoly, FieldSpec, RatFun, kernel_basis
 from frobsplit.ore import OrePoly, parse_ore
-from frobsplit.skew import CenterPoly, SkewElem, SkewMatrix, min_poly_center
+from frobsplit.skew import (CenterPoly, SkewElem, SkewMatrix, min_poly_center,
+                            tilde)
+from ratmat import prime_coords
 
 
 def reference_min_poly(A):
@@ -42,7 +44,12 @@ def reference_min_poly(A):
     raise AssertionError("no relation below the Cayley-Hamilton bound")
 
 
-CASES = [(p, ell, N) for p in (2, 3) for ell in (1, 2) for N in (1, 2, 3)]
+CASES = [(p, ell, N) for p in (2, 3) for ell in (1, 2, 3)
+         for N in (1, 2, 3, 4)]
+
+# the largest N * ell, by p and mode, at which the reference takes about
+# a second or less: central denominators make its RatFun elimination costlier
+REFERENCE_CAP = {2: (12, 8, 4), 3: (9, 6, 4)}
 
 
 def _ore(spec, rng, maxdeg=1):
@@ -88,9 +95,14 @@ def build_matrix(case, seed, mode):
 @settings(max_examples=50, deadline=None)
 @given(st.sampled_from(CASES), st.integers(0, 2 ** 32 - 1),
        st.sampled_from([0, 1, 2]))
+# a content of the top row block taken over F_q, not F_p, is no F_p(s)
+# scalar and puts the coefficients outside F_p(s): (2, 2, 2), 53, mode 2
+# fails that way; (3, 2, 1), 1_000_528_354, mode 2 did in an earlier
+# form of the routine
+@example((3, 2, 1), 1_000_528_354, 2)
+@example((2, 2, 2), 53, 2)
 def test_min_poly_center_matches_reference(case, seed, mode):
-    # entry-wise denominators at N * ell = 6 cost the reference seconds
-    assume(mode != 2 or case[1] * case[2] <= 4)
+    assume(case[1] * case[2] <= REFERENCE_CAP[case[0]][mode])
     A = build_matrix(case, seed, mode)
     Q = min_poly_center(A)
     assert Q == reference_min_poly(A)
@@ -98,12 +110,38 @@ def test_min_poly_center_matches_reference(case, seed, mode):
     assert Q.evaluate_matrix(A).is_zero()
 
 
+def reference_tilde(A):
+    """tilde(A) from the products F^i * A[m][c] in K: row i*n + m holds
+    the parts of F^i times row m."""
+    spec, n, ell = A.spec, A.rows, A.spec.ell
+    out = [[None] * (n * ell) for _ in range(n * ell)]
+    for i in range(ell):
+        Fi = SkewElem.F(spec, i)
+        for m in range(n):
+            for c in range(n):
+                prod = Fi * A.entries[m][c]
+                for j in range(ell):
+                    out[i * n + m][j * n + c] = prod.parts[j]
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([(p, ell, N) for p in (2, 3) for ell in (1, 2, 3)
+                        for N in (1, 2, 3)]),
+       st.integers(0, 2 ** 32 - 1), st.sampled_from([0, 1, 2]))
+def test_tilde_matches_products_in_K(case, seed, mode):
+    A = build_matrix(case, seed, mode)
+    assert tilde(A) == reference_tilde(A)
+
+
 def test_non_polynomial_entries_are_covered():
-    """The generator really yields entries outside F_q[s] in modes 1, 2."""
+    """The generator really yields entries outside F_q[s] in modes 1, 2,
+    and their tilde has central denominators."""
     for mode in (1, 2):
         A = build_matrix((3, 2, 2), 7, mode)
         assert any(not part.is_polynomial() for row in A.entries
                    for e in row for part in e.parts)
+        assert any(not e.is_polynomial() for row in tilde(A) for e in row)
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from frobsplit.fields import (CPoly, FieldSpec, FqElem, RatFun, _dot,
-                              lift_cpoly, lift_element, power, prime_coords)
+                              lift_cpoly, lift_element, power)
 from frobsplit.skew import CenterPoly
+from ratmat import prime_coords
 
 
 class RefPoly:
