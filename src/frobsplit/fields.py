@@ -684,7 +684,14 @@ def lift_cpoly(f, spec):
 
 class RatFun:
     """Rational function num/den over F_q[s] in canonical form:
-    den monic, gcd(num, den) = 1."""
+    den monic, gcd(num, den) = 1.
+
+    Every RatFun is canonical (`_canonical=True` is passed only for a
+    pair already in that form), so zero is always 0/1.  The operators
+    rest on both facts: a zero operand of + or - and a zero or unit
+    factor of * give their result without arithmetic, and a nonzero
+    constant c = c/1 scales num alone, since it keeps gcd(num, den) = 1
+    and den monic."""
 
     __slots__ = ("num", "den")
 
@@ -751,6 +758,10 @@ class RatFun:
         return self.num.in_prime_field() and self.den.in_prime_field()
 
     def __add__(self, other):
+        if not other.num._c:
+            return self
+        if not self.num._c:
+            return other
         if self.den._c == (1,) and other.den._c == (1,):
             return RatFun(self.num + other.num, _canonical=True)
         if self.den == other.den:
@@ -759,6 +770,10 @@ class RatFun:
                       self.den * other.den)
 
     def __sub__(self, other):
+        if not other.num._c:
+            return self
+        if not self.num._c:
+            return -other
         if self.den._c == (1,) and other.den._c == (1,):
             return RatFun(self.num - other.num, _canonical=True)
         if self.den == other.den:
@@ -770,6 +785,21 @@ class RatFun:
         return RatFun(-self.num, self.den, _canonical=True)
 
     def __mul__(self, other):
+        a, b = self.num._c, other.num._c
+        if not a:
+            return self
+        if not b:
+            return other
+        if len(a) == 1 and self.den._c == (1,):
+            if a == (1,):
+                return other
+            return RatFun(other.num * self.num.leading(), other.den,
+                          _canonical=True)
+        if len(b) == 1 and other.den._c == (1,):
+            if b == (1,):
+                return self
+            return RatFun(self.num * other.num.leading(), self.den,
+                          _canonical=True)
         if self.den._c == (1,) and other.den._c == (1,):
             return RatFun(self.num * other.num, _canonical=True)
         return RatFun(self.num * other.num, self.den * other.den)

@@ -247,10 +247,12 @@ def _parse_term(term, spec, sign):
             cur += ch
     if cur.strip():
         factors.append(cur.strip())
-    acc = OrePoly.constant(spec.from_int(sign))
+    # the term is one monomial c*F^k, read left to right: F^j adds j to
+    # k, and a constant a moves left past F^k as phi^k(a) = a^(p^k)
+    coef, k = spec.from_int(sign), 0
     for fac in factors:
         if fac == "F":
-            acc = acc * OrePoly.F(spec)
+            k += 1
         elif fac.startswith("F^"):
             try:
                 power = int(fac[2:])
@@ -258,12 +260,12 @@ def _parse_term(term, spec, sign):
                 raise OreParseError("bad F power: %r" % fac)
             if power < 0:
                 raise OreParseError("negative F power: %r" % fac)
-            acc = acc * OrePoly.F(spec, power)
+            k += power
         else:
             try:
-                acc = acc * OrePoly.constant(parse_field_literal(fac, spec))
+                coef = coef * parse_field_literal(fac, spec).frobenius(k)
             except OreParseError:
                 raise
             except ValueError:
                 raise OreParseError("bad term factor: %r" % fac)
-    return acc
+    return OrePoly(spec, (spec.zero(),) * k + (coef,))

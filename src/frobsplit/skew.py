@@ -78,10 +78,18 @@ class SkewElem:
         return self.parts[0].is_one() and not any(self.parts[1:])
 
     def __add__(self, other):
+        if other.is_zero():
+            return self
+        if self.is_zero():
+            return other
         return SkewElem(self.spec, tuple(a + b for a, b in
                                          zip(self.parts, other.parts)))
 
     def __sub__(self, other):
+        if other.is_zero():
+            return self
+        if self.is_zero():
+            return -other
         return SkewElem(self.spec, tuple(a - b for a, b in
                                          zip(self.parts, other.parts)))
 
@@ -91,6 +99,10 @@ class SkewElem:
     def __mul__(self, other):
         if isinstance(other, RatFun):
             other = SkewElem.from_ratfun(other)
+        if self.is_one():
+            return other
+        if other.is_one():
+            return self
         spec = self.spec
         ell = spec.ell
         out = [RatFun.zero(spec)] * ell
@@ -237,9 +249,13 @@ class SkewMatrix:
             return SkewMatrix.zero(self.spec, self.rows, other.cols)
         return SkewMatrix(self.spec, mat_mul(self.entries, other.entries))
 
-    def scale_central(self, rf):
-        return SkewMatrix(self.spec, [[a.scale_central(rf) for a in row]
-                                      for row in self.entries])
+    def shift_central(self, rf):
+        """self + rf * I for a square matrix and a central rf: only the
+        diagonal changes."""
+        c = SkewElem.from_ratfun(rf)
+        return SkewMatrix(self.spec, [
+            row[:i] + (row[i] + c,) + row[i + 1:]
+            for i, row in enumerate(self.entries)])
 
     def __pow__(self, e):
         if self.rows != self.cols:
@@ -404,10 +420,9 @@ class CenterPoly(CPoly):
 
     def evaluate_matrix(self, A):
         """Q(A) for a square SkewMatrix A; coefficients act centrally."""
-        n = A.rows
-        acc = SkewMatrix.zero(A.spec, n, n)
+        acc = SkewMatrix.zero(A.spec, A.rows, A.rows)
         for c in reversed(self.coeffs):
-            acc = acc * A + SkewMatrix.identity(A.spec, n).scale_central(c)
+            acc = (acc * A).shift_central(c)
         return acc
 
     def __repr__(self):

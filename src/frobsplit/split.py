@@ -451,13 +451,16 @@ def jordan_form_central(A0, factors):
     eigen.sort()
     all_chains = []  # (exponent, chain)
     for k, root, e in eigen:
-        M = A0 - SkewMatrix.identity(spec, n).scale_central(root)
+        M = A0.shift_central(-root)
         kernels = [[]] + [right_kernel(M ** j) for j in range(1, e + 1)]
         chains = []
         for j in range(e, 0, -1):
             base = kernels[j - 1] + [c[-j] for c in chains if len(c) >= j]
             vecs = base + kernels[j]
-            for col in column_space_basis(_col_matrix(spec, vecs, n)):
+            # a kernel basis is independent: with no base, each heads a chain
+            heads = column_space_basis(_col_matrix(spec, vecs, n)) \
+                if base else range(len(vecs))
+            for col in heads:
                 if col < len(base):
                     continue
                 cur = vecs[col]
@@ -648,15 +651,14 @@ def split_endomorphism(A):
     if r_final != r0_final * r1_final:
         raise SplitSelfCheckError("minimal polynomial of the powered map "
                                   "is not r0*r1")
-    # central denominator clearing element h
-    h = CPoly.one(spec)
+    # central denominator clearing element h: the lcm of the c that
+    # SkewElem.clear_central gives each entry, taken over the distinct
+    # denominators of their parts (lcm is associative and monic)
+    dens = set()
 
     def absorb(matrix):
-        nonlocal h
-        for row in matrix.entries:
-            for e in row:
-                c, _ = e.clear_central()
-                h = h.lcm(c)
+        dens.update(a.den for row in matrix.entries for e in row
+                    for a in e.parts if a.den._c != (1,))
 
     absorb(P)
     absorb(P_inv)
@@ -665,6 +667,9 @@ def split_endomorphism(A):
         for _ in range(max(r1_final.degree, 1)):
             absorb(A1_k)
             A1_k = A1_k * A1
+    h = CPoly.one(spec)
+    for den in dens:
+        h = h.lcm(den.norm_to_prime())
     if not h.in_prime_field() or h.is_zero():
         raise SplitSelfCheckError("clearing element h is not a nonzero "
                                   "element of F_p[s]")

@@ -4,6 +4,7 @@ exact linear algebra used everywhere else."""
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from frobsplit.fields import (CPoly, FieldSpec, RatFun, char_poly,
                               kernel_basis, lift_cpoly, mat_mul, power,
@@ -94,6 +95,51 @@ def test_ratfun_canonical():
     q = RatFun(one, s)
     assert (q * RatFun(s)).is_one()
     assert q.inverse() == RatFun(s)
+
+
+KINDS = ("zero", "one", "constant", "polynomial", "fraction")
+
+
+@st.composite
+def ratfun_operands(draw):
+    """A field F_q (p in {2, 3}, ell in {1, 2, 3}) and two RatFuns over
+    it, each zero, one, a nonzero constant, a polynomial or a fraction."""
+    spec = FieldSpec.get(draw(st.sampled_from((2, 3))),
+                         draw(st.integers(1, 3)))
+    digits = st.lists(st.integers(0, spec.p - 1), min_size=spec.ell,
+                      max_size=spec.ell).map(spec.element)
+    polys = st.lists(digits, min_size=1, max_size=4).map(
+        lambda c: CPoly(spec, c))
+
+    def operand():
+        kind = draw(st.sampled_from(KINDS))
+        if kind == "zero":
+            return RatFun.zero(spec)
+        if kind == "one":
+            return RatFun.one(spec)
+        if kind == "constant":
+            return RatFun.constant(draw(digits.filter(
+                lambda c: not c.is_zero())))
+        if kind == "polynomial":
+            return RatFun(draw(polys))
+        den = draw(polys.filter(lambda f: f.degree > 0))
+        return RatFun(draw(polys), den)
+
+    return operand(), operand()
+
+
+@settings(max_examples=300, deadline=None)
+@given(ratfun_operands())
+def test_ratfun_operators_match_the_normalizing_constructor(case):
+    # zero and unit operands take early returns; the reference always
+    # normalizes, so any shortcut that breaks canonical form shows here
+    a, b = case
+    refs = {"*": RatFun(a.num * b.num, a.den * b.den),
+            "+": RatFun(a.num * b.den + b.num * a.den, a.den * b.den),
+            "-": RatFun(a.num * b.den - b.num * a.den, a.den * b.den)}
+    for op, got in (("*", a * b), ("+", a + b), ("-", a - b)):
+        assert (got.num._c, got.den._c) == (refs[op].num._c,
+                                            refs[op].den._c), op
 
 
 def test_prime_coords_roundtrip():

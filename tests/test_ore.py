@@ -92,6 +92,19 @@ def test_parse_format_roundtrip():
     # right-coefficient terms are normalized
     w = F4.generator()
     assert parse_ore("F*[0,1]", F4) == OrePoly.constant(w * w) * OrePoly.F(F4)
+    # a mixed-order term is the product of its factors as OrePolys
+    for spec, text, factors in (
+            (F4, "[0,1]*F*[1,1]*F^2", ("[0,1]", "F", "[1,1]", "F^2")),
+            (F4, "F^3*[0,1]*[1,1]*F", ("F^3", "[0,1]", "[1,1]", "F")),
+            (F9, "-F*[1,2]*F^2*[2,1]", ("2", "F", "[1,2]", "F^2", "[2,1]")),
+            (F9, "2*F^0*[0,0]*F", ("2", "F^0", "[0,0]", "F"))):
+        ref = OrePoly.one(spec)
+        for fac in factors:
+            ref = ref * (OrePoly.F(spec, int(fac[2:] or 1))
+                         if fac.startswith("F") else
+                         OrePoly.constant(parse_field_literal(fac, spec)))
+        assert parse_ore(text, spec) == ref, text
+        assert parse_ore(format_ore(ref), spec) == ref
     with pytest.raises(OreParseError):
         parse_ore("F^", F4)
     with pytest.raises(OreParseError):

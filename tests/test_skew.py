@@ -4,6 +4,8 @@ elimination."""
 
 import random
 
+from hypothesis import given, settings, strategies as st
+
 from frobsplit.fields import CPoly, FieldSpec, RatFun, char_poly, mat_mul
 from frobsplit.ore import OrePoly, parse_ore
 from frobsplit.skew import (CenterPoly, SkewElem, SkewMatrix,
@@ -84,6 +86,47 @@ def test_two_sided_inverses_random():
         u = SkewElem.from_ore(P)
         ui = u.inverse()
         assert (ui * u).is_one() and (u * ui).is_one()
+
+
+def reference_mul(x, y):
+    """The part-by-part product of SkewElem.__mul__, with no early
+    return: F^i * b = phi^i(b) * F^i, and F^ell = s."""
+    spec = x.spec
+    ell = spec.ell
+    out = [RatFun.zero(spec)] * ell
+    for i, a in enumerate(x.parts):
+        for j, b in enumerate(y.parts):
+            k, r = divmod(i + j, ell)
+            s_k = RatFun(CPoly.monomial(spec, spec.one(), k))
+            out[r] = out[r] + a * b.frobenius(i) * s_k
+    return SkewElem(spec, out)
+
+
+def rand_skew(spec, rng):
+    """An element of K with a random central denominator on each part."""
+    den = CPoly(spec, [spec.random_element(rng) for _ in range(2)]
+                + [spec.one()])
+    return SkewElem(spec, [RatFun(CPoly(spec, [spec.random_element(rng)
+                                               for _ in range(3)]), den)
+                           for _ in range(spec.ell)])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from((F2, F4, F8, FieldSpec.get(3, 2))),
+       st.sampled_from(("zero", "one", "element")),
+       st.sampled_from(("zero", "one", "element")),
+       st.randoms(use_true_random=False))
+def test_skew_operators_on_zero_and_one_match_the_part_loop(spec, ka, kb,
+                                                            rng):
+    make = {"zero": lambda: SkewElem.zero(spec),
+            "one": lambda: SkewElem.one(spec),
+            "element": lambda: rand_skew(spec, rng)}
+    x, y = make[ka](), make[kb]()
+    assert x * y == reference_mul(x, y)
+    assert x * y.parts[0] == reference_mul(x, SkewElem.from_ratfun(
+        y.parts[0]))
+    assert x + y == SkewElem(spec, [a + b for a, b in zip(x.parts, y.parts)])
+    assert x - y == SkewElem(spec, [a - b for a, b in zip(x.parts, y.parts)])
 
 
 def test_min_poly_of_F_is_x_ell_minus_s():

@@ -179,7 +179,9 @@ def _greedy_jordan(A0, factors):
                    for g, e in factors)
     cols, blocks = [], []
     for k, root, e in eigen:
-        M = A0 - SkewMatrix.identity(spec, n).scale_central(root)
+        M = A0 - SkewMatrix(spec, [[SkewElem.from_ratfun(root) if i == j
+                                    else SkewElem.zero(spec)
+                                    for j in range(n)] for i in range(n)])
         kernels, Mp = [[]], SkewMatrix.identity(spec, n)
         for _ in range(e):
             Mp = Mp * M
