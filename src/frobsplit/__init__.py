@@ -12,8 +12,7 @@ from .skew import (SkewElem, SkewMatrix, CenterPoly, tilde,
                    central_multiplier, min_poly_center, char_poly_tilde)
 from .split import (FactorClassification, SplitData, factor_center,
                     classify_factor, split_endomorphism,
-                    jordan_form_central, power_up, CapacityError,
-                    NonDominantError)
+                    jordan_form_central, CapacityError, NonDominantError)
 from .classify import (AdditiveMap, CertificateB,
                        CertificateC, DensityReport, WitnessA, Verdict,
                        classify, build_certificate_B, build_certificate_C,

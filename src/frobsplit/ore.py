@@ -188,14 +188,22 @@ class OreParseError(ValueError):
 
 
 def parse_field_literal(text, spec):
+    """An integer, or `[c0,c1,...]` with at most ell integer coefficients
+    over the basis of F_q; anything else raises OreParseError."""
     text = text.strip()
-    if text.startswith("["):
-        if not text.endswith("]"):
-            raise OreParseError("unterminated field literal: %r" % text)
+    if text.startswith("[") and not text.endswith("]"):
+        raise OreParseError("unterminated field literal: %r" % text)
+    try:
+        if not text.startswith("["):
+            return spec.from_int(int(text))
         inner = text[1:-1].strip()
         ints = [int(t) for t in inner.split(",")] if inner else []
-        return spec.element(ints)
-    return spec.from_int(int(text))
+    except ValueError:
+        raise OreParseError("bad field literal: %r" % text)
+    if len(ints) > spec.ell:
+        raise OreParseError("too many coefficients for F_%d^%d: %r"
+                            % (spec.p, spec.ell, text))
+    return spec.element(ints)
 
 
 def parse_ore(text, spec):
@@ -262,10 +270,5 @@ def _parse_term(term, spec, sign):
                 raise OreParseError("negative F power: %r" % fac)
             k += power
         else:
-            try:
-                coef = coef * parse_field_literal(fac, spec).frobenius(k)
-            except OreParseError:
-                raise
-            except ValueError:
-                raise OreParseError("bad term factor: %r" % fac)
+            coef = coef * parse_field_literal(fac, spec).frobenius(k)
     return OrePoly(spec, (spec.zero(),) * k + (coef,))

@@ -373,13 +373,6 @@ def matrix_inverse(M):
     return T
 
 
-def column_space_basis(M):
-    """Indices of a maximal right-linearly-independent set of columns of
-    M (column space with right scalar multiplication): the pivot columns
-    of its echelon form."""
-    return rref(M.entries, M.cols)[1]
-
-
 def right_kernel(M):
     """Basis of {v : M v = 0} as columns over K (right kernel)."""
     R, pivots = rref(M.entries, M.cols)

@@ -1,12 +1,15 @@
 """Splitting a dominant additive endomorphism into a Frobenius-diagonal
 part and a multiplicatively independent part.
 
-The pipeline: factor the minimal polynomial over the center F_p(s),
+The pipeline: factor the minimal polynomial r over the center F_p(s),
 classify each irreducible factor (does some power of its roots equal a
-power of s?), raise the map to a suitable power, conjugate it into block
-diagonal form by central idempotents, put the Frobenius part in Jordan
-form, and power up once more until the Frobenius part is exactly
-diagonal.
+power of s?), and raise the map to the power B = A^n whose Frobenius
+factors are all of the form (x - s^k)^(e_k).  Then P is built from right
+kernels: with p^a >= every e_k, ker(B^(p^a) - s^(k*p^a)) is the
+generalized eigenspace of s^k, on which B^(p^a) is the scalar
+s^(k*p^a), and K^N is the sum of these eigenspaces and ker r1(B), r1 the
+product of the independent factors.  P^{-1} has bases of them as its
+columns, so P * B^(p^a) * P^{-1} = A0 (+) A1 with A0 diagonal.
 """
 
 import itertools
@@ -16,8 +19,8 @@ from .fields import (CPoly, FieldSpec, RatFun, char_poly, lift_cpoly,
                      mat_mul, power)
 from .fqfactor import factor as fq_factor, powmod, pth_root
 from .skew import (CenterPoly, SkewElem, SkewMatrix, SplitSelfCheckError,
-                   column_space_basis, companion_matrix, matrix_inverse,
-                   min_poly_center, right_kernel)
+                   companion_matrix, matrix_inverse, min_poly_center,
+                   right_kernel)
 
 
 class CapacityError(ValueError):
@@ -423,21 +426,19 @@ def _col_matrix(spec, vecs, n):
     return SkewMatrix(spec, [[v[i] for v in vecs] for i in range(n)])
 
 
-def jordan_form_central(A0, factors):
-    """Jordan form of a SkewMatrix whose minimal polynomial splits into
-    (x - s^k)^e factors over F_p(s); `factors` holds the (factor,
-    multiplicity) pairs of that minimal polynomial.
+def jordan_form_central(B, factors):
+    """Jordan basis of B^(p^a) on the Frobenius part of a SkewMatrix B;
+    `factors` holds the (x - s^k, e_k) pairs of B's minimal polynomial
+    that belong to that part.
 
-    For each eigenvalue s^k, with M = A0 - s^k, the chain heads of length
-    j are the vectors of ker M^j independent of ker M^(j-1) and of the
-    level-j members of the longer chains: the pivot columns past that
-    base in one elimination of [base | ker M^j].
+    a is the least exponent with p^a >= every e_k.  In characteristic p,
+    (x - s^k)^(p^a) = x^(p^a) - s^(k*p^a), so ker(B^(p^a) - s^(k*p^a)) is
+    the generalized eigenspace of s^k, and B^(p^a) acts on it as the
+    scalar s^(k*p^a): its Jordan form there is diagonal.
 
-    Returns (Pj, Pj_inv, blocks) with Pj invertible, Pj^{-1}*A0*Pj
-    exactly the Jordan matrix, and blocks a list of (exponent k, size)
-    pairs."""
-    spec = A0.spec
-    n = A0.rows
+    Returns (a, cols, blocks): the right-kernel basis columns of those
+    eigenspaces for increasing k, and the (k*p^a, dimension) pairs."""
+    spec = B.spec
     eigen = []
     for gfac, mult in factors:
         if gfac.degree != 1:
@@ -449,60 +450,18 @@ def jordan_form_central(A0, factors):
             raise ValueError("non-central eigenvalue data (root %r)" % root)
         eigen.append((mono[1], root, mult))
     eigen.sort()
-    all_chains = []  # (exponent, chain)
-    for k, root, e in eigen:
-        M = A0.shift_central(-root)
-        kernels = [[]] + [right_kernel(M ** j) for j in range(1, e + 1)]
-        chains = []
-        for j in range(e, 0, -1):
-            base = kernels[j - 1] + [c[-j] for c in chains if len(c) >= j]
-            vecs = base + kernels[j]
-            # a kernel basis is independent: with no base, each heads a chain
-            heads = column_space_basis(_col_matrix(spec, vecs, n)) \
-                if base else range(len(vecs))
-            for col in heads:
-                if col < len(base):
-                    continue
-                cur = vecs[col]
-                chain = [cur]
-                for _ in range(j - 1):
-                    cur = [sum((M.entries[i][t] * cur[t]
-                                for t in range(n)),
-                               SkewElem.zero(spec)) for i in range(n)]
-                    chain.append(cur)
-                chains.append(chain)
-        all_chains.extend((k, c) for c in chains)
-    # assemble the basis: within each chain, deepest image first
+    a = 0
+    while any(spec.p ** a < e for _, _, e in eigen):
+        a += 1
+    q = spec.p ** a
+    Bq = B ** q
     cols = []
     blocks = []
-    for k, chain in all_chains:
-        blocks.append((k, len(chain)))
-        cols.extend(reversed(chain))
-    if len(cols) != n:
-        raise SplitSelfCheckError("Jordan basis does not span")
-    Pj = _col_matrix(spec, cols, n)
-    Pj_inv = matrix_inverse(Pj)
-    return Pj, Pj_inv, blocks
-
-
-def power_up(p, blocks):
-    """Smallest a with p^a >= every Jordan block size, plus the merged
-    diagonal blocks after raising to the p^a power.
-
-    blocks: list of (exponent k, size); the block J_{s^k, m} raised to
-    the p^a becomes s^{k*p^a} * I_m.  Returns (a, [(n_i, m_i)]) with
-    distinct n_i."""
-    if not blocks:
-        return 0, []
-    maxsize = max(m for _, m in blocks)
-    a = 0
-    while p ** a < maxsize:
-        a += 1
-    merged = {}
-    for k, m in blocks:
-        key = k * p ** a
-        merged[key] = merged.get(key, 0) + m
-    return a, sorted(merged.items())
+    for k, root, _ in eigen:
+        kernel = right_kernel(Bq.shift_central(-root ** q))
+        cols.extend(kernel)
+        blocks.append((k * q, len(kernel)))
+    return a, cols, blocks
 
 
 # ---------------------------------------------------------------------------
@@ -547,9 +506,8 @@ class SplitData:
         return max((m for _, m in self.blocks), default=0)
 
 
-def _direct_sum_check(P, B, P_inv, A0, A1):
-    lhs = P * B * P_inv
-    return lhs == A0.direct_sum(A1)
+def _direct_sum_check(C, A0, A1):
+    return C == A0.direct_sum(A1)
 
 
 def split_endomorphism(A):
@@ -581,61 +539,43 @@ def split_endomorphism(A):
     # partition the minimal polynomial
     r0 = CenterPoly.one(spec)
     r1 = CenterPoly.one(spec)
+    frob = []
     for (g, m), cls in zip(facs, classes):
         if cls.is_frobenius():
             r0 = r0 * g ** m
+            frob.append((g, m))
         else:
             r1 = r1 * g ** m
+    if not r0.gcd(r1).is_one():
+        raise SplitSelfCheckError("r0, r1 are not coprime")
+    # K^N is the sum of the generalized eigenspaces of the Frobenius
+    # factors and ker r1(B); the columns of P^{-1} are bases of them
+    a, cols, blocks = jordan_form_central(B, frob)
     N = A.rows
-    if r0.degree == 0 or r1.degree == 0:
-        Q = Q_inv = SkewMatrix.identity(spec, N)
-        N0 = N if r1.degree == 0 else 0
-        A0_pre = B.submatrix(0, N0, 0, N0)
-        A1_pre = B.submatrix(N0, N, N0, N)
+    N0 = len(cols)
+    if N0:
+        if r1.degree:
+            cols = cols + right_kernel(r1.evaluate_matrix(B))
+        if len(cols) != N:
+            raise SplitSelfCheckError("kernels do not span")
+        P_inv = _col_matrix(spec, cols, N)
+        P = matrix_inverse(P_inv)
     else:
-        # u0*r0 + u1*r1 = 1, so (u0*r0)(B) = I - (u1*r1)(B)
-        one, _, u1 = r0.xgcd(r1)
-        if not one.is_one():
-            raise SplitSelfCheckError("r0, r1 are not coprime")
-        E0 = (u1 * r1).evaluate_matrix(B)
-        E1 = SkewMatrix.identity(spec, N) - E0
-        cols0 = [ [E0.entries[i][j] for i in range(N)]
-                  for j in column_space_basis(E0) ]
-        cols1 = [ [E1.entries[i][j] for i in range(N)]
-                  for j in column_space_basis(E1) ]
-        if len(cols0) + len(cols1) != N:
-            raise SplitSelfCheckError("idempotent images do not span")
-        Q = _col_matrix(spec, cols0 + cols1, N)
-        Q_inv = matrix_inverse(Q)
-        C = Q_inv * B * Q
-        N0 = len(cols0)
-        A0_pre = C.submatrix(0, N0, 0, N0)
-        A1_pre = C.submatrix(N0, N, N0, N)
-        if not (C.submatrix(0, N0, N0, N).is_zero()
-                and C.submatrix(N0, N, 0, N0).is_zero()):
-            raise SplitSelfCheckError("off-diagonal blocks are not zero")
-    # Jordanize the Frobenius part, then power up to pure diagonal; B
-    # restricted to ker r0(B) has minimal polynomial r0, whose factors
-    # are the Frobenius ones of r
-    Pj, Pj_inv, jblocks = jordan_form_central(
-        A0_pre, [f for f, cls in zip(facs, classes) if cls.is_frobenius()])
-    a, merged = power_up(p, jblocks)
+        P = P_inv = SkewMatrix.identity(spec, N)
+    # (P*B*P^{-1})^(p^a) = P*B^(p^a)*P^{-1}; the columns span B-invariant
+    # subspaces, so the power is taken of a block-diagonal matrix
+    C = (P * B * P_inv) ** (p ** a)
     n_final = n * p ** a
-    B_final = B ** (p ** a)  # B itself when a = 0
-    I1 = SkewMatrix.identity(spec, N - N0)
-    P = Pj_inv.direct_sum(I1) * Q_inv
-    P_inv = Q * Pj.direct_sum(I1)
-    # final blocks
-    diag = [k for k, m in merged for _ in range(m)]
+    diag = [k for k, m in blocks for _ in range(m)]
     A0 = SkewMatrix(spec, [[SkewElem.F(spec, diag[i] * spec.ell)
                             if i == j else SkewElem.zero(spec)
                             for j in range(N0)] for i in range(N0)])
-    A1 = A1_pre ** (p ** a)
-    if not _direct_sum_check(P, B_final, P_inv, A0, A1):
+    A1 = C.submatrix(N0, N, N0, N)
+    if not _direct_sum_check(C, A0, A1):
         raise SplitSelfCheckError("block-diagonal identity failed")
     # minimal polynomial bookkeeping for the powered map
     r0_final = CenterPoly.one(spec)
-    for k, _ in merged:
+    for k, _ in blocks:
         r0_final = r0_final * CenterPoly.x_minus(
             RatFun(CPoly.monomial(spec, spec.one(), k), _canonical=True))
     if not A1.rows:
@@ -647,7 +587,7 @@ def split_endomorphism(A):
     if not r0_final.gcd(r1_final).is_one():
         raise SplitSelfCheckError("r0 and r1 of the powered map share a "
                                   "factor")
-    r_final = r if a == 0 else min_poly_center(B_final)
+    r_final = r if a == 0 else min_poly_center(C)
     if r_final != r0_final * r1_final:
         raise SplitSelfCheckError("minimal polynomial of the powered map "
                                   "is not r0*r1")
@@ -673,5 +613,5 @@ def split_endomorphism(A):
     if not h.in_prime_field() or h.is_zero():
         raise SplitSelfCheckError("clearing element h is not a nonzero "
                                   "element of F_p[s]")
-    return SplitData(spec, n_final, P, P_inv, merged, A0, A1, h,
+    return SplitData(spec, n_final, P, P_inv, blocks, A0, A1, h,
                      r0_final, r1_final, a, classes)

@@ -550,24 +550,57 @@ def test_verify_rejects_a_witness_of_the_wrong_dimension(tmp_path, capsys):
 
 
 def test_zero_denominator_is_error_exit_1(tmp_path, capsys):
-    point = tmp_path / "pt.txt"
-    point.write_text(F_PLUS_1.replace(
-        "[question]\nd = 1\ndensity_m = 25\ndensity_d = 3\n",
-        "[point]\nnvars = 1\nx_1 = (1) / (0)\n"))
-    lam = tmp_path / "lam.txt"
-    lam.write_text(LAMBDA.replace("lambda = t1 + 1", "lambda = (1) / (0)"))
+    # also the field literals that are not integers or have more than
+    # ell coefficients, in a [point], a [lambda] c and an A certificate;
+    # each is one error line and exit 1, also under python -O
+    import os
+    import subprocess
+    import sys
+    import frobsplit
+    no_question = "[question]\nd = 1\ndensity_m = 25\ndensity_d = 3\n"
     prob = tmp_path / "p.txt"
     prob.write_text(DIAG_F1_F1)
     cert = tmp_path / "c.txt"
     assert run(["classify", str(prob), "--out", str(cert)])[0] == 0
     capsys.readouterr()
-    bad = tmp_path / "bad.txt"
-    bad.write_text(cert.read_text().replace("alpha_1 = (1) / (t1)",
-                                            "alpha_1 = (1) / (0)"))
-    for argv in (["tools", "orbit", str(point)],
-                 ["tools", "lambda-density", str(lam), "--M", "4"],
-                 ["verify", str(bad), str(prob)]):
+    files = {
+        "point": F_PLUS_1.replace(no_question,
+                                  "[point]\nnvars = 1\nx_1 = (1) / (0)\n"),
+        "lam": LAMBDA.replace("lambda = t1 + 1", "lambda = (1) / (0)"),
+        "bad": cert.read_text().replace("alpha_1 = (1) / (t1)",
+                                        "alpha_1 = (1) / (0)")}
+    files["point_u"] = files["point"].replace("(1) / (0)", "u")
+    files["point_f4"] = ("[field]\np = 2\nell = 2\n\n[map]\nn = 1\n"
+                         "entry_1_1 = 1 + F\n\n[point]\nnvars = 1\n"
+                         "x_1 = [1,1,1]*t1\n")
+    files["lam_c"] = LAMBDA.replace("c = 1 ; 1", "c = u ; 1")
+    files["bad_t2"] = files["bad"].replace("(1) / (0)", "(t2)")
+    path = {}
+    for name, text in files.items():
+        path[name] = str(tmp_path / (name + ".txt"))
+        (tmp_path / (name + ".txt")).write_text(text)
+    zero = "error: zero denominator in '(1) / (0)'\n"
+    literal = "error: bad field literal: %r\n"
+    cases = [(["tools", "orbit", path["point"]], zero),
+             (["tools", "lambda-density", path["lam"], "--M", "4"], zero),
+             (["verify", path["bad"], str(prob)], zero),
+             (["tools", "orbit", path["point_u"]], literal % "u"),
+             (["tools", "orbit", path["point_f4"]],
+              "error: too many coefficients for F_2^2: '[1,1,1]'\n"),
+             (["tools", "lambda-density", path["lam_c"], "--M", "4"],
+              literal % "u"),
+             (["verify", path["bad_t2"], str(prob)], literal % "(t2)")]
+    for argv, err in cases:
         code, out = run(argv)
         assert code == 1 and out == ""
-        assert capsys.readouterr().err == \
-            "error: zero denominator in '(1) / (0)'\n"
+        assert capsys.readouterr().err == err
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(
+        frobsplit.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    for argv, err in cases:
+        done = subprocess.run([sys.executable, "-O", "-m", "frobsplit.cli"]
+                              + argv, env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert (done.returncode, done.stdout, done.stderr) == (1, "", err)

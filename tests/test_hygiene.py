@@ -1,15 +1,19 @@
 """Source hygiene of the engine package, read with `ast`: no `assert`
 statement (input checks and invariants must still run under `python
 -O`), no unused import (the package re-exports only from
-`__init__.py`), and no local variable or parameter that is never read."""
+`__init__.py`), no local variable or parameter that is never read, and
+no module-level function or class that nothing names."""
 
 import ast
+import collections
 import glob
 import os
+import re
 
 import frobsplit
 
 PACKAGE = os.path.dirname(os.path.abspath(frobsplit.__file__))
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def _modules():
@@ -72,4 +76,34 @@ def test_no_unread_locals_or_parameters():
                     if isinstance(func, (ast.FunctionDef,
                                          ast.AsyncFunctionDef))
                     for line, var in _unread_names(func)})
+    assert found == []
+
+
+def test_no_dead_definitions():
+    # a name-based scan: every module-level function or class of the
+    # package must be named somewhere outside its own definition, in the
+    # package, the tests or the benchmark (which also names functions in
+    # strings, as the tracer does)
+    word = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+    paths = set(glob.glob(os.path.join(PACKAGE, "*.py")))
+    for sub in ("tests", "perfbench"):
+        paths.update(glob.glob(os.path.join(ROOT, sub, "**", "*.py"),
+                               recursive=True))
+    named = collections.Counter()
+    for path in paths:
+        with open(path) as fh:
+            named.update(word.findall(fh.read()))
+    found = []
+    for name, tree in _modules():
+        with open(os.path.join(PACKAGE, name)) as fh:
+            lines = fh.read().splitlines()
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                     ast.ClassDef)):
+                continue
+            first = min([node.lineno] + [d.lineno
+                                         for d in node.decorator_list])
+            own = word.findall("\n".join(lines[first - 1:node.end_lineno]))
+            if named[node.name] == own.count(node.name):
+                found.append("%s:%d %s" % (name, node.lineno, node.name))
     assert found == []

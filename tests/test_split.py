@@ -4,6 +4,7 @@ the center, and the full splitting of a dominant endomorphism."""
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from frobsplit import split
 from frobsplit.cli import main
@@ -12,8 +13,7 @@ from frobsplit.ore import OrePoly, parse_ore
 from frobsplit.skew import CenterPoly, SkewElem, SkewMatrix, min_poly_center
 from frobsplit.split import (FactorClassification, NonDominantError,
                              classify_factor, factor_center,
-                             jordan_form_central, power_up,
-                             split_endomorphism)
+                             jordan_form_central, split_endomorphism)
 
 F2 = FieldSpec.get(2, 1)
 F3 = FieldSpec.get(3, 1)
@@ -137,38 +137,41 @@ def test_classify_factor_pinned_answers():
 
 
 def test_jordan_form_central():
+    # B^(p^a) is the scalar s^(k*p^a) on each generalized eigenspace:
+    # a = 0 for distinct simple eigenvalues, then 1 and 2 for Jordan
+    # blocks of sizes 2 and 3 over F_2, and 1 for size 3 over F_3
     sr = RatFun.s(F2)
-    A0 = SkewMatrix(F2, [[SkewElem.from_ratfun(sr), SkewElem.one(F2)],
-                         [SkewElem.zero(F2), SkewElem.from_ratfun(sr)]])
-    Pj, Pj_inv, blocks = jordan_form_central(
-        A0, factor_center(min_poly_center(A0)))
-    assert blocks == [(1, 2)]
-    J = Pj_inv * A0 * Pj
-    assert J.entries[0][0] == SkewElem.from_ratfun(sr)
-    assert J.entries[0][1].is_one()
-    assert J.entries[1][0].is_zero()
     D = SkewMatrix(F2, [[SkewElem.from_ratfun(sr), SkewElem.zero(F2)],
                         [SkewElem.zero(F2),
                          SkewElem.from_ratfun(sr * sr)]])
-    _, _, blocks = jordan_form_central(D, factor_center(min_poly_center(D)))
-    assert sorted(blocks) == [(1, 1), (2, 1)]
-
-
-def test_jordan_form_central_takes_known_factors():
-    sr = RatFun.s(F2)
-    z, o = SkewElem.zero(F2), SkewElem.one(F2)
-    s1, s2 = SkewElem.from_ratfun(sr), SkewElem.from_ratfun(sr * sr)
-    for A0 in (SkewMatrix(F2, [[s1, o], [z, s1]]),
-               SkewMatrix(F2, [[s1, z, z], [z, s2, o], [z, z, s2]])):
-        factors = factor_center(min_poly_center(A0))
-        expected = _greedy_jordan(A0, factors)
-        assert jordan_form_central(A0, factors) == expected
-        assert jordan_form_central(A0, factors[::-1]) == expected
+    a, cols, blocks = jordan_form_central(
+        D, factor_center(min_poly_center(D)))
+    assert (a, blocks) == (0, [(1, 1), (2, 1)])
+    assert cols == [[SkewElem.one(F2), SkewElem.zero(F2)],
+                    [SkewElem.zero(F2), SkewElem.one(F2)]]
+    for spec, size, a_want in ((F2, 2, 1), (F2, 3, 2), (F3, 3, 1)):
+        J = _jordan_matrix(spec, [(1, size)])
+        factors = factor_center(min_poly_center(J))
+        a, cols, blocks = jordan_form_central(J, factors)
+        q = spec.p ** a
+        assert (a, blocks) == (a_want, [(q, size)])
+        Jq = J ** q
+        sq = SkewElem.from_ratfun(RatFun.s(spec) ** q)
+        for v in cols:
+            assert [sum((Jq.entries[i][t] * v[t] for t in range(size)),
+                        SkewElem.zero(spec)) for i in range(size)] == \
+                [sq * e for e in v]
+    # the result does not depend on the order of the factors
+    A0 = _jordan_matrix(F2, [(1, 1), (2, 2)])
+    factors = factor_center(min_poly_center(A0))
+    assert jordan_form_central(A0, factors) == \
+        jordan_form_central(A0, factors[::-1])
 
 
 def _greedy_jordan(A0, factors):
-    """Reference Jordan basis: each candidate of ker M^j is kept when it
-    raises the column rank of the base, one elimination per candidate."""
+    """Reference Jordan chains: each candidate of ker M^j heads a chain
+    when it raises the column rank of the base, one elimination per
+    candidate.  Returns the (exponent k, chain length) pairs."""
     spec, n = A0.spec, A0.rows
 
     def col_rank(vecs):
@@ -177,7 +180,7 @@ def _greedy_jordan(A0, factors):
 
     eigen = sorted((split._monomial_of(-g.coeff(0))[1], -g.coeff(0), e)
                    for g, e in factors)
-    cols, blocks = [], []
+    blocks = []
     for k, root, e in eigen:
         M = A0 - SkewMatrix(spec, [[SkewElem.from_ratfun(root) if i == j
                                     else SkewElem.zero(spec)
@@ -202,11 +205,8 @@ def _greedy_jordan(A0, factors):
                     chains.append(chain)
                     base.append(v)
                     rank0 += 1
-        for chain in chains:
-            blocks.append((k, len(chain)))
-            cols.extend(reversed(chain))
-    Pj = SkewMatrix(spec, [[v[i] for v in cols] for i in range(n)])
-    return Pj, split.matrix_inverse(Pj), blocks
+        blocks.extend((k, len(chain)) for chain in chains)
+    return blocks
 
 
 def _jordan_matrix(spec, blocks):
@@ -223,30 +223,55 @@ def _jordan_matrix(spec, blocks):
     return SkewMatrix(spec, ent)
 
 
-@pytest.mark.parametrize("spec", [F2, F3, F4], ids=["F2", "F3", "F4"])
-def test_jordan_form_central_matches_greedy_reference(spec):
-    # one elimination per Jordan level picks exactly the chain heads of
-    # the greedy rank test, on conjugates of Jordan matrices with blocks
-    # up to size 3 and repeated eigenvalues
-    rng = random.Random(1000 + spec.q)
-    for _ in range(10):
-        blocks = []
-        while sum(m for _, m in blocks) < 2 or rng.random() < 0.4:
-            blocks.append((rng.randrange(3), rng.randrange(1, 4)))
-            if sum(m for _, m in blocks) >= 4:
-                break
-        J = _jordan_matrix(spec, blocks)
-        G, Ginv = _unimodular(spec, J.rows, rng)
-        A0 = G * J * Ginv
-        factors = []
-        for k in sorted({k for k, _ in blocks}):
-            root = RatFun.s(spec) ** k
-            e = max(m for kk, m in blocks if kk == k)
-            factors.append((CenterPoly.x_minus(root), e))
-        Pj, Pj_inv, got = jordan_form_central(A0, factors)
-        assert (Pj, Pj_inv, got) == _greedy_jordan(A0, factors)
-        assert sorted(got) == sorted(blocks)
-        assert Pj_inv * A0 * Pj == _jordan_matrix(spec, got)
+F9 = FieldSpec.get(3, 2)
+
+
+@st.composite
+def _jordan_blocks(draw):
+    """Jordan blocks (exponent k, size) of total size 2 to 4, sizes up to
+    3, with repeated eigenvalues likely."""
+    blocks = [(draw(st.integers(0, 2)), draw(st.integers(1, 3)))]
+    while sum(m for _, m in blocks) < 2 or (
+            sum(m for _, m in blocks) < 4 and draw(st.booleans())):
+        blocks.append((draw(st.integers(0, 2)),
+                       draw(st.integers(1, 4 - sum(m for _, m in blocks)))))
+    return blocks
+
+
+@pytest.mark.parametrize("spec", [F2, F3, F4, F9],
+                         ids=["F2", "F3", "F4", "F9"])
+@settings(max_examples=25, deadline=None)
+@given(blocks=_jordan_blocks(), rng=st.randoms(use_true_random=False))
+def test_jordan_form_central_matches_greedy_reference(spec, blocks, rng):
+    # a unimodular conjugate of J (+) (1 + F^ell): a mixed split whose
+    # Frobenius part needs a > 0 when a block is larger than 1
+    J = _jordan_matrix(spec, blocks)
+    indep = SkewElem.from_ore(parse_ore("1 + F^%d" % spec.ell, spec))
+    D = J.direct_sum(SkewMatrix(spec, [[indep]]))
+    G, Ginv = _unimodular(spec, D.rows, rng)
+    A = G * D * Ginv
+    sp = split_endomorphism(A)
+    a = 0
+    while spec.p ** a < max(m for _, m in blocks):
+        a += 1
+    q = spec.p ** a
+    assert (sp.a, sp.n, sp.N1) == (a, q, 1)
+    # the per-eigenvalue dimensions of the greedy Jordan basis
+    factors = [(CenterPoly.x_minus(RatFun.s(spec) ** k),
+                max(m for kk, m in blocks if kk == k))
+               for k in sorted({k for k, _ in blocks})]
+    chains = _greedy_jordan(A, factors)
+    assert sorted(chains) == sorted(blocks)
+    dims = {}
+    for k, m in chains:
+        dims[k * q] = dims.get(k * q, 0) + m
+    assert sp.blocks == sorted(dims.items())
+    diag = [k for k, m in sp.blocks for _ in range(m)]
+    A0 = SkewMatrix(spec, [[SkewElem.F(spec, diag[i] * spec.ell) if i == j
+                            else SkewElem.zero(spec)
+                            for j in range(len(diag))]
+                           for i in range(len(diag))])
+    assert sp.P * A ** q * sp.P_inv == A0.direct_sum(sp.A1)
 
 
 def test_split_factors_each_minimal_polynomial_once(monkeypatch):
@@ -259,12 +284,6 @@ def test_split_factors_each_minimal_polynomial_once(monkeypatch):
     sp = split_endomorphism([[OrePoly.F(F4)]])
     assert sp.n == 2 and sp.blocks == [(1, 1)]
     assert len(calls) == 2
-
-
-def test_power_up():
-    assert power_up(2, [(1, 1), (2, 1)]) == (0, [(1, 1), (2, 1)])
-    assert power_up(2, [(1, 2)]) == (1, [(2, 2)])
-    assert power_up(2, [(1, 3)]) == (2, [(4, 3)])
 
 
 def test_split_pure_frobenius():
@@ -400,3 +419,70 @@ def test_power_up_that_does_not_settle_is_a_self_check_failure(
     assert err.startswith("error: split self-check failed: ")
     assert err.count("\n") == 1
     assert not cert.exists()
+
+
+# diag(aF^2, bF^3, 1 + cF^4) over F_8 with (a, b, c) the first three draws
+# of gen.GF.rand from random.Random(1), conjugated by perfbench's
+# gen.conjugate(F, diag, rng, [(0, 1), (1, 2)], max_deg=1) with the same
+# rng: the slow instance of a mixed split with n = 21
+F8_SLOW = """\
+[field]
+p = 2
+ell = 3
+modulus = [1,1,0,1]
+
+[map]
+n = 3
+entry_1_1 = [0,0,1]*F^2
+entry_1_2 = [1,0,1]*F^2 + [0,1,1]*F^3 + [0,1,1]*F^4
+entry_1_3 = [0,1,1]*F^2 + [0,1,0]*F^3 + [0,0,1]*F^4 + [1,0,1]*F^5
+entry_2_1 = 0
+entry_2_2 = [0,1,1]*F^3
+entry_2_3 = [1,1,0] + [0,1,0]*F + [1,0,0]*F^3 + [0,1,0]*F^4 + [1,0,0]*F^5
+entry_3_1 = 0
+entry_3_2 = 0
+entry_3_3 = [1,0,0] + [1,1,0]*F^4
+
+[question]
+d = 1
+density_m = 20
+density_d = 2
+"""
+
+F8_SLOW_CERTIFICATE = (
+    "[certificate]\n"
+    "kind = A\n"
+    "applicable = A\n"
+    "nvars = 1\n"
+    "alpha_1 = [1,1,0]*t1^2 + [1,1,0]*t1\n"
+    "alpha_2 = (t1^4 + t1^3 + [0,1,0]*t1^2 + [1,1,0]*t1 + [1,0,0]) / "
+    "(t1^3 + t1^2 + t1 + [1,0,0])\n"
+    "alpha_3 = ([1,0,0]) / (t1 + [1,0,0])\n"
+    "density_m = 20\n"
+    "density_d = 2\n"
+    "outcome = dense-up-to-D\n"
+    "\n"
+    "[split]\n"
+    "n = 21\n"
+    "a = 0\n"
+    "blocks = (14,1) ; (21,1)\n"
+    "h = [1]\n"
+    "r0 = (s^35) + (s^14 + s^21)*x + x^2\n"
+    "r1 = ([1,0,0] + s^4 + s^16 + s^20 + s^64 + s^68 + s^80 + s^84) + "
+    "([1,0,0] + s^8 + s^12 + s^24 + s^28 + s^32 + s^44 + s^48 + s^56)*x "
+    "+ ([1,0,0] + s^28)*x^2 + x^3\n"
+    "\n"
+    "[meta]\n"
+    "version = 0.1.0\n"
+    "digest = d456e2b4331eecdd12ebfe564718582dd6bef7660dfe5739c76d2734964cef7d"
+    "\n")
+
+
+def test_f8_slow_tail_certificate_is_pinned(tmp_path, capsys):
+    prob = tmp_path / "p.txt"
+    prob.write_text(F8_SLOW)
+    cert = tmp_path / "c.txt"
+    assert main(["classify", str(prob), "--out", str(cert)]) == 0
+    assert cert.read_bytes() == F8_SLOW_CERTIFICATE.encode()
+    assert main(["verify", str(cert), str(prob)]) == 0
+    assert capsys.readouterr().err == ""
