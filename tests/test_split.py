@@ -161,11 +161,29 @@ def test_jordan_form_central():
             assert [sum((Jq.entries[i][t] * v[t] for t in range(size)),
                         SkewElem.zero(spec)) for i in range(size)] == \
                 [sq * e for e in v]
-    # the result does not depend on the order of the factors
+
+
+def test_jordan_form_central_takes_known_factors():
+    # the result does not depend on the order of the factors and agrees
+    # with the greedy Jordan chains; only the given factors' eigenspaces
+    # are returned, and a nonlinear factor is refused
+    for blocks in ([(1, 2)], [(1, 1), (2, 2)]):
+        A0 = _jordan_matrix(F2, blocks)
+        factors = factor_center(min_poly_center(A0))
+        got = jordan_form_central(A0, factors)
+        assert got == jordan_form_central(A0, factors[::-1])
+        q = 2 ** got[0]
+        assert got[2] == [(k * q, m) for k, m in _greedy_jordan(A0, factors)]
     A0 = _jordan_matrix(F2, [(1, 1), (2, 2)])
-    factors = factor_center(min_poly_center(A0))
-    assert jordan_form_central(A0, factors) == \
-        jordan_form_central(A0, factors[::-1])
+    x, s, one = x_s_one(F2)
+    a, cols, blocks = jordan_form_central(A0, [(x - CenterPoly(F2, [s]), 1)])
+    assert (a, blocks) == (0, [(1, 1)])
+    assert cols == [[SkewElem.one(F2), SkewElem.zero(F2), SkewElem.zero(F2)]]
+    a, cols, blocks = jordan_form_central(
+        A0, [(x - CenterPoly(F2, [s * s]), 2)])
+    assert (a, blocks, len(cols)) == (1, [(4, 2)], 2)
+    with pytest.raises(ValueError, match="nonlinear factor"):
+        jordan_form_central(A0, [(x ** 2 - CenterPoly(F2, [s]), 1)])
 
 
 def _greedy_jordan(A0, factors):
@@ -284,6 +302,21 @@ def test_split_factors_each_minimal_polynomial_once(monkeypatch):
     sp = split_endomorphism([[OrePoly.F(F4)]])
     assert sp.n == 2 and sp.blocks == [(1, 1)]
     assert len(calls) == 2
+
+
+def test_power_up():
+    # the power-up exponent a is the least with p^a >= the largest Jordan
+    # block, and each eigenvalue s^k becomes s^(k*p^a)
+    for spec, blocks, want in (
+            (F2, [(1, 1), (2, 1)], (0, [(1, 1), (2, 1)])),
+            (F2, [(1, 2)], (1, [(2, 2)])),
+            (F2, [(1, 3)], (2, [(4, 3)])),
+            (F2, [(1, 1), (2, 3)], (2, [(4, 1), (8, 3)])),
+            (F3, [(1, 2), (1, 1)], (1, [(3, 3)])),
+            (F3, [(1, 4)], (2, [(9, 4)]))):
+        J = _jordan_matrix(spec, blocks)
+        a, _, got = jordan_form_central(J, factor_center(min_poly_center(J)))
+        assert (a, got) == want
 
 
 def test_split_pure_frobenius():
