@@ -625,11 +625,17 @@ class CPoly:
     def shift_var(self, a):
         """Substitute s -> s + a."""
         spec = self.spec
-        res = CPoly.zero(spec)
-        base = _poly(CPoly, spec, (a.packed, 1))
+        add, mul, av = spec._add, spec._mul, a.packed
+        res = []
         for c in reversed(self._c):
-            res = res * base + _poly(CPoly, spec, (c,))
-        return res
+            # Horner: res * (s + a) + c
+            new = [c] + res
+            if av:
+                for i, y in enumerate(res):
+                    if y:
+                        new[i] = add(new[i], mul(av, y))
+            res = new
+        return _poly(CPoly, spec, res)
 
     def __eq__(self, other):
         return (type(other) is type(self) and self._c == other._c

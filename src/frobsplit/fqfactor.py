@@ -127,6 +127,8 @@ def factor(f):
         raise ValueError("cannot factor zero")
     lc = f.leading()
     f = f.monic()
+    if f.degree == 1:
+        return lc, [(f, 1)]
     rng = random.Random(_seed_for(f))
     out = []
     for g, mult in squarefree_decomposition(f):

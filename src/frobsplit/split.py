@@ -15,8 +15,8 @@ columns, so P * B^(p^a) * P^{-1} = A0 (+) A1 with A0 diagonal.
 import itertools
 import math
 
-from .fields import (CPoly, FieldSpec, RatFun, char_poly, lift_cpoly,
-                     mat_mul, power)
+from .fields import (CPoly, FieldSpec, RatFun, _poly, char_poly,
+                     lift_cpoly, mat_mul, power)
 from .fqfactor import factor as fq_factor, powmod, pth_root
 from .skew import (CenterPoly, SkewElem, SkewMatrix, SplitSelfCheckError,
                    companion_matrix, matrix_inverse, min_poly_center,
@@ -33,6 +33,12 @@ class NonDominantError(ValueError):
 
 # ---------------------------------------------------------------------------
 # factorization of monic polynomials in x over F_p(s)
+#
+# Inside the factorization a polynomial in x is a list of CPoly
+# coefficients, lowest degree first: over F_p in s, or over F_{p^k} in the
+# local parameter t = s - a.  A polynomial over F_p(s) is held as its
+# primitive associate over F_p[s] (coefficients with gcd 1 and a monic
+# leading coefficient), which is unique; W stands for the monic W / lc(W).
 
 _DEGREE_CAP_X = 64
 _DEGREE_CAP_S = 256
@@ -48,7 +54,10 @@ def _lift_ratfun(rf, spec):
 def factor_center(r):
     """Factor a monic CenterPoly with F_p(s) coefficients into monic
     irreducibles over F_p(s); returns a list of (factor, multiplicity).
-    """
+
+    The factorization runs on the primitive associate L * r over F_p[s],
+    L the lcm of the denominators of r, and its factors are made monic
+    over F_p(s) again at the end."""
     if r.is_zero():
         raise ValueError("cannot factor zero")
     if not r.leading().is_one():
@@ -59,9 +68,15 @@ def factor_center(r):
         raise CapacityError("x-degree %d exceeds cap %d"
                             % (r.degree, _DEGREE_CAP_X))
     fp = FieldSpec.get(spec.p, 1)
-    rd = CenterPoly(fp, [_lift_ratfun(c, fp) for c in r.coeffs])
-    found = _factor_prime(rd)
-    out = [(CenterPoly(spec, [_lift_ratfun(c, spec) for c in g.coeffs]), m)
+    L = CPoly.one(fp)
+    for c in r.coeffs:
+        if not c.is_polynomial():
+            L = L.lcm(lift_cpoly(c.den, fp))
+    found = _factor_prime([lift_cpoly(c.num, fp) * (
+        L if c.is_polynomial() else L.exact_div(lift_cpoly(c.den, fp)))
+        for c in r.coeffs])
+    out = [(CenterPoly(spec, [_lift_ratfun(RatFun(c, g[-1]), spec)
+                              for c in g]), m)
            for g, m in found.items()]
     out.sort(key=lambda t: (t[0].degree, t[1]))
     # exactness check: the product must reconstruct the input
@@ -73,76 +88,140 @@ def factor_center(r):
     return out
 
 
+def _primitive(f):
+    """The primitive associate of a polynomial over F_p[s] (a list of
+    CPoly, trailing zeros allowed) as a tuple; () for zero."""
+    f = list(f)
+    while f and f[-1].is_zero():
+        f.pop()
+    if not f:
+        return ()
+    g = f[-1]
+    for c in f:
+        if g.degree == 0:
+            break
+        g = g.gcd(c)
+    if g.degree > 0:
+        f = [c.exact_div(g) for c in f]
+    lc = f[-1].leading()
+    if not lc.is_one():
+        inv = lc.inverse()
+        f = [c * inv for c in f]
+    return tuple(f)
+
+
+def _prem(a, b):
+    """A pseudo-remainder of a by b over F_p[s]: a * lc(b)^e mod b for
+    some e >= 0 (a step whose leading coefficient is already 0 does not
+    scale)."""
+    rem = list(a)
+    db = len(b) - 1
+    lb = b[-1]
+    for k in range(len(rem) - 1, db - 1, -1):
+        c = rem.pop()
+        if c.is_zero():
+            continue
+        if not lb.is_one():
+            rem = [r * lb for r in rem]
+        for i in range(db):
+            rem[k - db + i] = rem[k - db + i] - c * b[i]
+    return rem
+
+
+def _gcd(a, b):
+    """gcd over F_p(s) of primitive a and b (deg a >= deg b) by the
+    primitive pseudo-remainder sequence over F_p[s]; a primitive
+    associate."""
+    while b:
+        a, b = b, _primitive(_prem(a, b))
+    return a
+
+
+def _divmod(f, g):
+    """(quotient, remainder) of f by g in F_p[s][x], for g monic or a
+    divisor of f over F_p(s) with f, g primitive (each step's division by
+    lc(g) is then exact in F_p[s], by Gauss's lemma)."""
+    rem = list(f)
+    dg = len(g) - 1
+    lg = g[-1]
+    quot = []
+    for k in range(len(rem) - 1, dg - 1, -1):
+        c = rem.pop()
+        if not c.is_zero():
+            if not lg.is_one():
+                c = c.exact_div(lg)
+            for i in range(dg):
+                rem[k - dg + i] = rem[k - dg + i] - c * g[i]
+        quot.append(c)
+    while rem and rem[-1].is_zero():
+        rem.pop()
+    return quot[::-1], rem
+
+
 def _factor_prime(f):
-    """Recursive full factorization of monic f over F_p(s); returns a
-    dict irreducible -> multiplicity."""
+    """Recursive full factorization of a primitive f over F_p[s] over
+    F_p(s); returns a dict irreducible -> multiplicity, irreducibles as
+    primitive associates."""
     result = {}
-    if f.degree < 1:
+    if len(f) < 2:
         return result
-    p = f.spec.p
-    fx = f.derivative()
-    if fx.is_zero():
+    spec = f[0].spec
+    p = spec.p
+    fx = _primitive([f[i] * spec.from_int(i) for i in range(1, len(f))])
+    if not fx:
         # f = g(x^p); factor g, then handle each piece
-        g = CenterPoly(f.spec, [f.coeff(i) for i in range(0, f.degree + 1, p)])
-        for h, m in _factor_prime(g).items():
+        for h, m in _factor_prime(f[::p]).items():
             rooted = _pth_root_coeffs(h)
             if rooted is not None:
                 # h(x^p) = rooted(x)^p
                 for irr, mm in _factor_prime(rooted).items():
                     result[irr] = result.get(irr, 0) + m * mm * p
             else:
-                hxp = CenterPoly(f.spec, _spread(h.coeffs, p, f.spec))
+                hxp = _spread(h, p)
                 result[hxp] = result.get(hxp, 0) + m
         return result
-    c = f.gcd(fx)
-    w = f.exact_div(c)  # squarefree, contains each factor of f with p∤mult
+    c = _gcd(f, fx)
+    # squarefree, contains each factor of f with p∤mult
+    w = tuple(_divmod(f, c)[0])
     for irr in _factor_squarefree(w):
         result[irr] = result.get(irr, 0) + 1
-    if c.degree > 0:
+    if len(c) > 1:
         for irr, m in _factor_prime(c).items():
             result[irr] = result.get(irr, 0) + m
     return result
 
 
-def _spread(coeffs, p, spec):
-    out = []
-    for c in coeffs:
-        out.append(c)
-        out.extend([RatFun.zero(spec)] * (p - 1))
-    return out[:len(out) - (p - 1)] if coeffs else []
+def _spread(h, p):
+    """h(x^p)."""
+    out = [CPoly.zero(h[0].spec)] * (p * (len(h) - 1) + 1)
+    out[::p] = h
+    return tuple(out)
 
 
 def _pth_root_coeffs(h):
-    """If every coefficient of h lies in F_p(s^p), return the polynomial
-    with p-th-rooted coefficients; else None."""
-    out = []
-    for c in h.coeffs:
-        try:
-            out.append(RatFun(pth_root(c.num), pth_root(c.den)))
-        except ValueError:
-            return None
-    return CenterPoly(h.spec, out)
+    """If every coefficient of h lies in F_p[s^p], the polynomial with
+    p-th-rooted coefficients; else None.  For a primitive h this is the
+    test for coefficients in F_p(s^p) of the monic h / lc(h)."""
+    try:
+        return tuple(pth_root(c) for c in h)
+    except ValueError:
+        return None
 
 
-def _factor_squarefree(g):
-    """Monic squarefree g over F_p(s) (gcd(g, g') = 1) -> list of monic
-    irreducible factors."""
-    spec = g.spec  # F_p with ell = 1
-    if g.degree <= 1:
-        return [g] if g.degree == 1 else []
-    # clear denominators: g2(x) = d^n * g(x/d) has coefficients in F_p[s]
-    d = CPoly.one(spec)
-    for c in g.coeffs:
-        if not c.den.is_one():
-            d = d.lcm(c.den)
-    n = g.degree
-    biv = []
-    for i, c in enumerate(g.coeffs):
-        scaled = c * RatFun(d ** (n - i), _canonical=True)
-        if not scaled.den.is_one():
-            raise SplitSelfCheckError("clearing by the lcm left a "
-                                      "denominator")
-        biv.append(scaled.num)
+def _factor_squarefree(w):
+    """Primitive squarefree w over F_p[s] (gcd(w, w') = 1 over F_p(s))
+    -> list of its irreducible factors over F_p(s), primitive."""
+    if len(w) <= 2:
+        return [w] if len(w) == 2 else []
+    spec = w[0].spec  # F_p with ell = 1
+    # d = lc(w) is the lcm of the denominators of the monic w / d, and
+    # biv(x) = d^(n-1) * w(x/d) is monic with coefficients in F_p[s]
+    d = w[-1]
+    n = len(w) - 1
+    dpow = [CPoly.one(spec)]
+    for _ in range(n):
+        dpow.append(dpow[-1] * d)
+    biv = [c * dpow[n - 1 - i] for i, c in enumerate(w[:-1])] + [dpow[0]]
     degs = max(c.degree for c in biv)
     if degs > _DEGREE_CAP_S:
         raise CapacityError("s-degree %d exceeds cap %d"
@@ -151,135 +230,139 @@ def _factor_squarefree(g):
         # really a univariate polynomial over F_p
         uni = CPoly(spec, [c.coeff(0) for c in biv])
         _, facs = fq_factor(uni)
-        pieces = [CenterPoly(spec, [RatFun.constant(cc) for cc in irr.coeffs])
+        pieces = [tuple(CPoly.constant(cc) for cc in irr.coeffs)
                   for irr, _ in facs]
     else:
         pieces = _factor_bivariate(biv, spec)
-    # undo the x -> x/d substitution: factor h of g2 gives d^{-deg h} h(dx)
+    # undo the x -> x/d substitution: factor h of biv gives h(dx)
     if d.is_one():
         return pieces
-    out = []
-    dr = RatFun(d, _canonical=True)
-    for h in pieces:
-        m = h.degree
-        out.append(CenterPoly(spec, [h.coeff(i) * dr ** (i - m)
-                                     for i in range(m + 1)]))
-    return out
+    return [_primitive([c * dpow[i] for i, c in enumerate(h)])
+            for h in pieces]
 
 
 def _find_good_specialization(biv, spec):
     """Field element a with squarefree image biv(s=a, x); searches
-    extensions of increasing degree deterministically."""
+    extensions of increasing degree deterministically.  The elements of
+    F_p come first in each extension and failed at degree 1, so larger
+    degrees skip them."""
+    p = spec.p
     for k in range(1, 9):
-        ext = FieldSpec.get(spec.p, k)
-        for a in ext.all_elements():
-            ga = CPoly(ext, [c.evaluate(a) for c in biv])
+        ext = FieldSpec.get(p, k)
+        add, mul = ext._add, ext._mul
+        for a in itertools.islice(ext.all_elements(), p if k > 1 else 0,
+                                  None):
+            av = a.packed
+            vals = []
+            for c in biv:
+                acc = 0
+                for ci in reversed(c._c):
+                    acc = add(mul(acc, av), ci)
+                vals.append(acc)
+            ga = _poly(CPoly, ext, vals)
             if ga.gcd(ga.derivative()).degree == 0:
                 return ext, a, ga
     raise CapacityError("no squarefree specialization found up to degree 8")
 
 
-def _xpoly_mul(f, g, B):
-    """Product of x-polynomials with truncated-CPoly coefficients."""
-    spec = f[0].spec
-    z = CPoly.zero(spec)
-    out = [z] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a.is_zero():
-            continue
-        for j, b in enumerate(g):
-            if b.is_zero():
-                continue
-            prod = a * b
-            out[i + j] = out[i + j] + CPoly(spec, prod.coeffs[:B])
-    return [CPoly(spec, c.coeffs[:B]) for c in out]
+def _hensel_lift(FT, g0, h0, B):
+    """Given FT, the t-major form of a polynomial monic in x (FT[m] the
+    x-polynomial coefficient of t^m) with FT[0] = g0*h0 and gcd(g0, h0) =
+    1, lift g0 to the monic G with FT == G*H mod t^B.  Returns G t-major,
+    as the list of its B coefficients G_m.
 
-
-def _hensel_lift(ft, g0, h0, B):
-    """Given ft (x-poly with CPoly-in-t coefficients, monic in x) with
-    ft == g0*h0 mod t and gcd(g0, h0) = 1, lift to G monic with
-    ft == G*H mod t^B.  Returns G as an x-coefficient list of CPoly."""
-    spec = g0.spec
+    Step m forms only the t^m coefficient of the error,
+    e_m = FT_m - sum of G_i*H_(m-i) over 0 < i < m."""
     _, u, v = g0.xgcd(h0)
-    G = [CPoly.constant(c) for c in g0.coeffs]
-    H = [CPoly.constant(c) for c in h0.coeffs]
+    G, H = [g0], [h0]
     for m in range(1, B):
-        prod = _xpoly_mul(G, H, B)
-        err = [ft[i] - (prod[i] if i < len(prod) else CPoly.zero(spec))
-               for i in range(len(ft))]
-        e = CPoly(spec, [c.coeff(m) for c in err])
+        e = FT[m]
+        for i in range(1, m):
+            if not (G[i].is_zero() or H[m - i].is_zero()):
+                e = e - G[i] * H[m - i]
         if e.is_zero():
+            G.append(e)
+            H.append(e)
             continue
         q, dg = (v * e).divmod(g0)
         dh = u * e + q * h0
         if dg.degree >= g0.degree or dh.degree >= h0.degree:
             raise SplitSelfCheckError("Hensel step exceeds the factor "
                                       "degrees")
-        for j in range(dg.degree + 1):
-            G[j] = G[j] + CPoly.monomial(spec, dg.coeff(j), m)
-        for j in range(dh.degree + 1):
-            H[j] = H[j] + CPoly.monomial(spec, dh.coeff(j), m)
+        G.append(dg)
+        H.append(dh)
     return G
 
 
 def _factor_bivariate(biv, spec):
     """Factor a monic-in-x squarefree polynomial with F_p[s] coefficients
     (biv = list of CPoly over F_p, leading entry 1) into monic
-    irreducibles over F_p(s).
+    irreducibles over F_p(s), as tuples of CPoly.
 
     Evaluation at a squarefree specialization s = a, univariate
-    factorization, Hensel lifting to s-precision deg_s + 1 (which bounds
+    factorization, Hensel lifting to t-precision deg_s + 1 (which bounds
     any monic factor's s-degree), and subset recombination with exact
-    trial division."""
+    trial division over F_p[s].  A local factor is lifted when a subset
+    first needs it."""
     ext, a, ga = _find_good_specialization(biv, spec)
     _, local = fq_factor(ga)
     locals_ = [irr for irr, _ in local]
-    remaining_cp = CenterPoly(spec, [RatFun(c, _canonical=True) for c in biv])
     if len(locals_) == 1:
-        return [remaining_cp]
+        return [tuple(biv)]
     B = max(c.degree for c in biv) + 1
-    # shift into the local parameter t = s - a
-    ft = [lift_cpoly(c, ext).shift_var(a) for c in biv]
-    lifted = []
-    for gi in locals_:
-        hi = ga.exact_div(gi)
-        lifted.append(_hensel_lift(ft, gi, hi, B))
+    # the t-major form of biv in the local parameter t = s - a
+    ft = [lift_cpoly(c, ext).shift_var(a)._c for c in biv]
+    FT = [_poly(CPoly, ext, [c[m] if m < len(c) else 0 for c in ft])
+          for m in range(B)]
+    lifted = [None] * len(locals_)
+
+    def lift(i):
+        if lifted[i] is None:
+            gi = locals_[i]
+            lifted[i] = _hensel_lift(FT, gi, ga.exact_div(gi), B)
+        return lifted[i]
+
+    remaining = biv
     factors = []
-    pool = list(range(len(lifted)))
+    pool = list(range(len(locals_)))
     size = 1
     while 2 * size <= len(pool):
         progress = False
         for subset in itertools.combinations(pool, size):
-            cand = _recombine(lifted, subset, a, B, spec, ext)
+            cand = _recombine([lift(i) for i in subset], a, spec)
             if cand is None:
                 continue
-            q, rem = remaining_cp.divmod(cand)
-            if rem.is_zero():
+            q, rem = _divmod(remaining, cand)
+            if not rem:
                 factors.append(cand)
-                remaining_cp = q
+                remaining = q
                 pool = [i for i in pool if i not in subset]
                 progress = True
                 break
         if not progress:
             size += 1
-    if remaining_cp.degree > 0:
-        factors.append(remaining_cp)
+    if len(remaining) > 1:
+        factors.append(tuple(remaining))
     return factors
 
 
-def _recombine(lifted, subset, a, B, spec, ext):
-    """Product of the chosen lifted local factors, pulled back to the s
-    variable; None unless all coefficients land in F_p[s]."""
-    prod = [CPoly.one(ext)]
-    for i in subset:
-        prod = _xpoly_mul(prod, lifted[i], B)
+def _recombine(parts, a, spec):
+    """Product mod t^B of lifted local factors (t-major, B coefficients
+    each), pulled back to the s variable; None unless all coefficients
+    land in F_p[s]."""
+    prod = parts[0]
+    ext = prod[0].spec
+    for G in parts[1:]:
+        prod = [sum((prod[i] * G[m - i] for i in range(m + 1)),
+                    CPoly.zero(ext)) for m in range(len(G))]
     out = []
-    for c in prod:
-        cs = c.shift_var(-a)
+    for j in range(len(prod[0]._c)):
+        cs = _poly(CPoly, ext, [P._c[j] if j < len(P._c) else 0
+                                for P in prod]).shift_var(-a)
         if not cs.in_prime_field():
             return None
-        out.append(RatFun(lift_cpoly(cs, spec), _canonical=True))
-    return CenterPoly(spec, out)
+        out.append(lift_cpoly(cs, spec))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

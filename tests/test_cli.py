@@ -280,6 +280,40 @@ def test_capacity_error_is_error_exit_2(tmp_path, capsys, monkeypatch):
     assert "verdict" not in captured.out
 
 
+# the minimal polynomial (x - s)(x - s^2) is squarefree with s-degree 3
+DIAG_F_F2 = DIAG_FF.replace("entry_2_2 = F", "entry_2_2 = F^2")
+
+S_CAP_SCRIPT = """\
+import sys
+from frobsplit import split
+from frobsplit.cli import main
+split._DEGREE_CAP_S = 0
+sys.exit(main(["classify", sys.argv[1]]))
+"""
+
+
+def test_s_degree_cap_is_error_exit_2(tmp_path, capsys, monkeypatch):
+    import os
+    import subprocess
+    import sys
+    import frobsplit
+    from frobsplit import split
+    prob = tmp_path / "p.txt"
+    prob.write_text(DIAG_F_F2)
+    want = "error: bound exhausted: s-degree 3 exceeds cap 0\n"
+    monkeypatch.setattr(split, "_DEGREE_CAP_S", 0)
+    assert main(["classify", str(prob)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", want)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(os.path.abspath(
+        frobsplit.__file__)))
+    done = subprocess.run([sys.executable, "-O", "-c", S_CAP_SCRIPT,
+                           str(prob)], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert (done.returncode, done.stdout, done.stderr) == (2, "", want)
+
+
 def test_self_check_failure_is_error_exit_4(tmp_path, capsys, monkeypatch):
     import importlib
     # the package re-exports the function `classify` under the module's name

@@ -1,6 +1,7 @@
 """Center factorization, eigenvalue classification, Jordan form over
 the center, and the full splitting of a dominant endomorphism."""
 
+import math
 import random
 
 import pytest
@@ -18,6 +19,8 @@ from frobsplit.split import (FactorClassification, NonDominantError,
 F2 = FieldSpec.get(2, 1)
 F3 = FieldSpec.get(3, 1)
 F4 = FieldSpec.get(2, 2)
+F8 = FieldSpec.get(2, 3)
+F9 = FieldSpec.get(3, 2)
 
 
 def x_s_one(spec):
@@ -89,6 +92,121 @@ def test_factor_center_random_products():
             for g, m in facs:
                 prod = prod * g ** m
             assert prod == f1 * f2
+
+
+@st.composite
+def known_factorizations(draw):
+    """A field F_p and a dict of distinct monic irreducibles over F_p(s)
+    with multiplicities 1-3, of total x-degree at most 12: x - a for an
+    a in F_p(s), and x^m - c*s^j with gcd(m, j) = 1, irreducible by the
+    s-adic Newton polygon (x^2 - s over F_2 is inseparable)."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    spec = FieldSpec.get(p, 1)
+    x = CenterPoly.x(spec)
+    small = st.lists(st.integers(0, p - 1), min_size=1, max_size=3)
+    want = {}
+    degree = 0
+    for _ in range(draw(st.integers(1, 4))):
+        if draw(st.booleans()):
+            num = CPoly.from_ints(spec, draw(small))
+            den = CPoly.from_ints(spec, draw(small))
+            if den.is_zero():
+                den = CPoly.one(spec)
+            g = x - CenterPoly(spec, [RatFun(num, den)])
+        else:
+            m = draw(st.integers(1, 4))
+            j = draw(st.integers(0, 6).filter(lambda j: math.gcd(m, j) == 1))
+            c = spec.from_int(draw(st.integers(1, p - 1)))
+            g = x ** m - CenterPoly(spec, [RatFun(CPoly.monomial(spec, c, j))])
+        e = draw(st.integers(1, 3))
+        if degree + e * g.degree > 12:
+            break
+        degree += e * g.degree
+        want[g] = want.get(g, 0) + e
+    return spec, want
+
+
+@settings(max_examples=100, deadline=None)
+@given(known_factorizations())
+def test_factor_center_finds_known_factorization(case):
+    spec, want = case
+    r = CenterPoly.one(spec)
+    for g, e in want.items():
+        r = r * g ** e
+    got = factor_center(r)
+    assert len(got) == len(want)
+    assert dict(got) == want
+
+
+def _center(spec, coeffs):
+    """A CenterPoly from its x-coefficients, lowest first: each a list of
+    the F_p digits of a polynomial in s, or a (num, den) pair of them."""
+    return CenterPoly(spec, [
+        RatFun(CPoly.from_ints(spec, c[0]), CPoly.from_ints(spec, c[1]))
+        if isinstance(c, tuple) else RatFun(CPoly.from_ints(spec, c))
+        for c in coeffs])
+
+
+# Minimal polynomials that the certify-bc and witness-a jobs of the
+# benchmark factor (over F_2, F_3, F_4, F_8, F_9), two with repeated
+# factors from small maps over the same fields, and their factor lists
+# exactly as the factorization over F_p(s) returned them: factors,
+# multiplicities and order (sorted by degree and multiplicity, ties in
+# the order found), which `tools split` prints as factor_i.
+FACTOR_ORDER_PINS = [
+    (F2, [[0, 0, 0, 1, 1], [0, 1], [1, 0, 1], [1]],
+     [([[0, 0, 1], [1]], 1), ([[0, 1], [1]], 1), ([[1, 1], [1]], 1)]),
+    (F2, [[0, 1], [1], [0, 1], [1]],
+     [([[0, 1], [1]], 1), ([[1], [1]], 2)]),
+    (F3, [[0, 0, 0, 2, 2], [0, 1, 2, 2], [2, 1, 2], [1]],
+     [([[2, 2], [1]], 1), ([[0, 2], [1]], 1), ([[0, 0, 2], [1]], 1)]),
+    (F3, [[2], [2], [1], [2], [], [1]],
+     [([[2], [2], [1], [2], [], [1]], 1)]),
+    (F4, [[0, 0, 1, 1], [0, 1], [0, 0, 1], [1], [1]],
+     [([[0, 1], [1]], 1), ([[1, 1], [1]], 1), ([[0, 1], [], [1]], 1)]),
+    (F4, [[0, 0, 0, 1, 0, 1], [0, 1, 1, 0, 1], [1, 1], [1]],
+     [([[0, 0, 1], [1]], 1), ([[0, 1], [1]], 1), ([[1, 0, 1], [1]], 1)]),
+    (F4, [[1, 1, 1, 1], [], [0, 1, 1], [], [0, 1], [], [1]],
+     [([[1, 1], [], [1]], 1), ([[1, 1], [1], [1]], 2)]),
+    # x^7 + x^6 + (s+s^2)x^4 + (s+s^2)x^3 + s^3*x + s^3
+    (F8, [[0, 0, 0, 1], [0, 0, 0, 1], [], [0, 1, 1], [0, 1, 1], [], [1],
+          [1]],
+     [([[1], [1]], 1), ([[0, 1], [], [], [1]], 1),
+      ([[0, 0, 1], [], [], [1]], 1)]),
+    (F8, [[0, 0, 0, 1], [], [], [0, 1, 1], [], [], [1]],
+     [([[0, 1], [], [], [1]], 1), ([[0, 0, 1], [], [], [1]], 1)]),
+    (F9, [[0, 0, 2], [0, 1, 1], [], [2, 2], [1]],
+     [([[0, 2], [1]], 1), ([[2], [1]], 1), ([[0, 2], [], [1]], 1)]),
+    (F9, [[0, 1, 2, 1], [2, 0, 2], [1]],
+     [([[0, 2], [1]], 1), ([[2, 1, 2], [1]], 1)]),
+]
+
+
+def test_factor_center_pinned_order():
+    for spec, r, want in FACTOR_ORDER_PINS:
+        assert factor_center(_center(spec, r)) == \
+            [(_center(spec, g), m) for g, m in want]
+    # a minimal polynomial has coefficients in F_p[s] (the map's entries
+    # are integral over F_p[s]), so the case with denominators is built:
+    # (x - 1/s)^2 * (x^2 + x/(s+1) + s) * (x - (s+2)/(s^2+1)) over F_3
+    r = (_center(F3, [([2], [0, 1]), [1]]) ** 2
+         * _center(F3, [[0, 1], ([1], [1, 1]), [1]])
+         * _center(F3, [([1, 2], [1, 0, 1]), [1]]))
+    assert factor_center(r) == [
+        (_center(F3, [([1, 2], [1, 0, 1]), [1]]), 1),
+        (_center(F3, [([2], [0, 1]), [1]]), 2),
+        (_center(F3, [[0, 1], ([1], [1, 1]), [1]]), 1)]
+
+
+def test_specialization_search_gives_up_past_degree_8():
+    # x^2 + s^2 = (x + s)^2: its image at every a in F_2, F_4, ..., F_256
+    # is the square (x + a)^2
+    s = CPoly.s(F2)
+    with pytest.raises(split.CapacityError,
+                       match="no squarefree specialization found up to "
+                             "degree 8"):
+        split._find_good_specialization(
+            [s * s, CPoly.zero(F2), CPoly.one(F2)], F2)
 
 
 def test_classify_factor():
