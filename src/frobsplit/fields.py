@@ -661,8 +661,11 @@ class CPoly:
 
 def _poly(cls, spec, c):
     """A `cls` polynomial from raw coefficients, trailing zeros stripped."""
-    while c and not c[-1]:
-        c = c[:-1]
+    if c and not c[-1]:
+        n = len(c) - 1
+        while n and not c[n - 1]:
+            n -= 1
+        c = c[:n]
     f = _new(cls)
     f.spec = spec
     f._c = tuple(c)

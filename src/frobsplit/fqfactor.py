@@ -118,6 +118,17 @@ def equal_degree_split(f, d, rng):
                     + equal_degree_split(f.exact_div(h), d, rng))
 
 
+def factor_squarefree(f):
+    """The monic irreducible factors of a monic squarefree f over F_q, in
+    the order `factor` lists them; the equal-degree split is seeded from
+    f."""
+    rng = random.Random(_seed_for(f))
+    out = [irr for prod, d in distinct_degree(f)
+           for irr in equal_degree_split(prod, d, rng)]
+    out.sort(key=lambda g: (g.degree, [c.coeffs for c in g.coeffs]))
+    return out
+
+
 def factor(f):
     """Full factorization of f over F_q.
 
@@ -129,12 +140,8 @@ def factor(f):
     f = f.monic()
     if f.degree == 1:
         return lc, [(f, 1)]
-    rng = random.Random(_seed_for(f))
-    out = []
-    for g, mult in squarefree_decomposition(f):
-        for prod, d in distinct_degree(g):
-            for irr in equal_degree_split(prod, d, rng):
-                out.append((irr, mult))
+    out = [(irr, mult) for g, mult in squarefree_decomposition(f)
+           for irr in factor_squarefree(g)]
     out.sort(key=lambda t: (t[0].degree, [c.coeffs for c in t[0].coeffs], t[1]))
     return lc, out
 

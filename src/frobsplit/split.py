@@ -1,15 +1,16 @@
 """Splitting a dominant additive endomorphism into a Frobenius-diagonal
 part and a multiplicatively independent part.
 
-The pipeline: factor the minimal polynomial r over the center F_p(s),
-classify each irreducible factor (does some power of its roots equal a
-power of s?), and raise the map to the power B = A^n whose Frobenius
-factors are all of the form (x - s^k)^(e_k).  Then P is built from right
-kernels: with p^a >= every e_k, ker(B^(p^a) - s^(k*p^a)) is the
-generalized eigenspace of s^k, on which B^(p^a) is the scalar
-s^(k*p^a), and K^N is the sum of these eigenspaces and ker r1(B), r1 the
-product of the independent factors.  P^{-1} has bases of them as its
-columns, so P * B^(p^a) * P^{-1} = A0 (+) A1 with A0 diagonal.
+The pipeline makes one round over A alone: factor the minimal polynomial
+r of A over the center F_p(s), and classify each irreducible factor g
+(does some power u^(n_g) = s^(j_g) of its roots equal a power of s?).
+B = A^n, n = lcm(n_g), has on ker g(A)^m the one eigenvalue s^k,
+k = j_g*n/n_g, of multiplicity at most m.  Then P is built from right
+kernels: ker(B^(p^a) - s^(k*p^a)) is the generalized eigenspace of s^k
+once p^a reaches its multiplicity, B^(p^a) is the scalar s^(k*p^a) on
+it, and a is the least exponent at which these kernels and ker r1(A), r1
+the product of the independent g^m, span K^N.  P^{-1} has bases of them
+as its columns, so P * B^(p^a) * P^{-1} = A0 (+) A1 with A0 diagonal.
 """
 
 import itertools
@@ -17,7 +18,8 @@ import math
 
 from .fields import (CPoly, FieldSpec, RatFun, _poly, char_poly,
                      lift_cpoly, mat_mul, power)
-from .fqfactor import factor as fq_factor, powmod, pth_root
+from .fqfactor import (factor as fq_factor, factor_squarefree, powmod,
+                       pth_root)
 from .skew import (CenterPoly, SkewElem, SkewMatrix, SplitSelfCheckError,
                    companion_matrix, matrix_inverse, min_poly_center,
                    right_kernel)
@@ -229,9 +231,8 @@ def _factor_squarefree(w):
     if degs == 0:
         # really a univariate polynomial over F_p
         uni = CPoly(spec, [c.coeff(0) for c in biv])
-        _, facs = fq_factor(uni)
         pieces = [tuple(CPoly.constant(cc) for cc in irr.coeffs)
-                  for irr, _ in facs]
+                  for irr in factor_squarefree(uni)]
     else:
         pieces = _factor_bivariate(biv, spec)
     # undo the x -> x/d substitution: factor h of biv gives h(dx)
@@ -305,8 +306,7 @@ def _factor_bivariate(biv, spec):
     trial division over F_p[s].  A local factor is lifted when a subset
     first needs it."""
     ext, a, ga = _find_good_specialization(biv, spec)
-    _, local = fq_factor(ga)
-    locals_ = [irr for irr, _ in local]
+    locals_ = factor_squarefree(ga)
     if len(locals_) == 1:
         return [tuple(biv)]
     B = max(c.degree for c in biv) + 1
@@ -509,42 +509,33 @@ def _col_matrix(spec, vecs, n):
     return SkewMatrix(spec, [[v[i] for v in vecs] for i in range(n)])
 
 
-def jordan_form_central(B, factors):
-    """Jordan basis of B^(p^a) on the Frobenius part of a SkewMatrix B;
-    `factors` holds the (x - s^k, e_k) pairs of B's minimal polynomial
-    that belong to that part.
+def jordan_form_central(B, eigen, dim):
+    """Eigenspace bases of B^(p^a) on the Frobenius part, of dimension
+    `dim`, of a SkewMatrix B; `eigen` holds a pair (k, e) for each
+    eigenvalue s^k of B there, e a bound on its multiplicity.
 
-    a is the least exponent with p^a >= every e_k.  In characteristic p,
-    (x - s^k)^(p^a) = x^(p^a) - s^(k*p^a), so ker(B^(p^a) - s^(k*p^a)) is
-    the generalized eigenspace of s^k, and B^(p^a) acts on it as the
-    scalar s^(k*p^a): its Jordan form there is diagonal.
+    In characteristic p, (x - s^k)^(p^a) = x^(p^a) - s^(k*p^a), so once
+    p^a reaches the multiplicity, ker(B^(p^a) - s^(k*p^a)) is the
+    generalized eigenspace of s^k, on which B^(p^a) is the scalar
+    s^(k*p^a).  a is the least exponent at which these kernels reach
+    `dim`; past every bound they cannot (SplitSelfCheckError).
 
     Returns (a, cols, blocks): the right-kernel basis columns of those
     eigenspaces for increasing k, and the (k*p^a, dimension) pairs."""
     spec = B.spec
-    eigen = []
-    for gfac, mult in factors:
-        if gfac.degree != 1:
-            raise ValueError("non-central eigenvalue data (nonlinear factor)")
-        root = -gfac.coeff(0)
-        mono = _monomial_of(root) if not root.is_zero() else None
-        if mono is None or not mono[0].is_one() or mono[1] < 0 \
-                or not root.den.is_one():
-            raise ValueError("non-central eigenvalue data (root %r)" % root)
-        eigen.append((mono[1], root, mult))
-    eigen.sort()
-    a = 0
-    while any(spec.p ** a < e for _, _, e in eigen):
-        a += 1
-    q = spec.p ** a
-    Bq = B ** q
-    cols = []
-    blocks = []
-    for k, root, _ in eigen:
-        kernel = right_kernel(Bq.shift_central(-root ** q))
-        cols.extend(kernel)
-        blocks.append((k * q, len(kernel)))
-    return a, cols, blocks
+    a, q, Bq = 0, 1, B
+    while True:
+        cols, blocks = [], []
+        for k, _ in sorted(eigen):
+            kernel = right_kernel(Bq.shift_central(
+                -RatFun.s(spec) ** (k * q)))
+            cols.extend(kernel)
+            blocks.append((k * q, len(kernel)))
+        if len(cols) == dim:
+            return a, cols, blocks
+        if all(q >= e for _, e in eigen):
+            raise SplitSelfCheckError("kernels do not span")
+        a, q, Bq = a + 1, q * spec.p, Bq ** spec.p
 
 
 # ---------------------------------------------------------------------------
@@ -555,9 +546,11 @@ class SplitData:
 
     P * A^n * P^{-1} = A0 (+) A1 exactly, where A0 is the diagonal
     matrix of the Frobenius blocks F^{n_i*ell} I_{m_i} and A1 has minimal
-    polynomial r1 with multiplicatively independent roots.  h is a
-    nonzero element of F_p[s] clearing the central denominators of P,
-    P^{-1}, and the powers A1^i for i < deg r1."""
+    polynomial r1 with multiplicatively independent roots; n is the lcm
+    of the Frobenius factors' n_g times p^a.  h is a nonzero element of
+    F_p[s] clearing the central denominators of P, P^{-1}, and the powers
+    A1^i for i < deg r1.  `classifications` are those of the factors of
+    A's own minimal polynomial."""
 
     def __init__(self, spec, n, P, P_inv, blocks, A0, A1, h, r0, r1,
                  a, classifications):
@@ -606,45 +599,34 @@ def split_endomorphism(A):
         raise NonDominantError("minimal polynomial has zero constant term")
     facs = factor_center(r)
     classes = [classify_factor(g) for g, _ in facs]
-    # one power-up round suffices: if u^(n_i) = s^(j_i) then u^n =
-    # s^(j_i*n/n_i) for n = lcm(n_i), and if some (u^n)^m were s^j, u
-    # would be of Frobenius type itself
+    # B = A^n is a polynomial in A, so ker g(A)^m is B-invariant; there g
+    # divides x^n - s^k, so (B - s^k)^m = 0, and an independent g stays
+    # independent (if (u^n)^i were s^j, u would be of Frobenius type)
     n = math.lcm(*(cls.n for cls in classes if cls.is_frobenius()))
-    B = A
-    if n > 1:
-        B = A ** n
-        r = min_poly_center(B)
-        facs = factor_center(r)
-        classes = [classify_factor(g) for g, _ in facs]
-        if any(cls.is_frobenius() and cls.n != 1 for cls in classes):
-            raise SplitSelfCheckError("a Frobenius factor of A^%d still "
-                                      "needs a power" % n)
-    # partition the minimal polynomial
-    r0 = CenterPoly.one(spec)
-    r1 = CenterPoly.one(spec)
-    frob = []
+    B = A ** n
+    r0 = r1 = CenterPoly.one(spec)
+    eigen = {}
     for (g, m), cls in zip(facs, classes):
         if cls.is_frobenius():
             r0 = r0 * g ** m
-            frob.append((g, m))
+            k = cls.j * n // cls.n
+            eigen[k] = max(eigen.get(k, 0), m)
         else:
             r1 = r1 * g ** m
     if not r0.gcd(r1).is_one():
         raise SplitSelfCheckError("r0, r1 are not coprime")
-    # K^N is the sum of the generalized eigenspaces of the Frobenius
-    # factors and ker r1(B); the columns of P^{-1} are bases of them
-    a, cols, blocks = jordan_form_central(B, frob)
+    # K^N is the sum of the generalized eigenspaces of the s^k under B and
+    # ker r1(A); the columns of P^{-1} are bases of them
     N = A.rows
-    N0 = len(cols)
-    if N0:
-        if r1.degree:
-            cols = cols + right_kernel(r1.evaluate_matrix(B))
-        if len(cols) != N:
-            raise SplitSelfCheckError("kernels do not span")
-        P_inv = _col_matrix(spec, cols, N)
+    if eigen:
+        indep = right_kernel(r1.evaluate_matrix(A)) if r1.degree else []
+        a, cols, blocks = jordan_form_central(B, eigen.items(), N - len(indep))
+        P_inv = _col_matrix(spec, cols + indep, N)
         P = matrix_inverse(P_inv)
     else:
+        a, cols, blocks = 0, [], []
         P = P_inv = SkewMatrix.identity(spec, N)
+    N0 = len(cols)
     # (P*B*P^{-1})^(p^a) = P*B^(p^a)*P^{-1}; the columns span B-invariant
     # subspaces, so the power is taken of a block-diagonal matrix
     C = (P * B * P_inv) ** (p ** a)
@@ -659,19 +641,25 @@ def split_endomorphism(A):
     # minimal polynomial bookkeeping for the powered map
     r0_final = CenterPoly.one(spec)
     for k, _ in blocks:
-        r0_final = r0_final * CenterPoly.x_minus(
-            RatFun(CPoly.monomial(spec, spec.one(), k), _canonical=True))
+        r0_final = r0_final * CenterPoly.x_minus(RatFun.s(spec) ** k)
     if not A1.rows:
         r1_final = CenterPoly.one(spec)
     elif N0 == 0:
-        r1_final = r  # no Frobenius part: A1 is B itself
+        r1_final = r  # no Frobenius part: A1 is A itself
     else:
         r1_final = min_poly_center(A1)
     if not r0_final.gcd(r1_final).is_one():
         raise SplitSelfCheckError("r0 and r1 of the powered map share a "
                                   "factor")
-    r_final = r if a == 0 else min_poly_center(C)
-    if r_final != r0_final * r1_final:
+    # r | R(x^n_final) with R = r0_final*r1_final gives R(C) = 0, so with
+    # C = A0 (+) A1 and coprime minimal polynomials r0_final, r1_final of
+    # the blocks, R is the minimal polynomial of C
+    R = r0_final * r1_final
+    y = powmod(CenterPoly.x(spec), n_final, r)
+    acc = CenterPoly.zero(spec)
+    for c in reversed(R.coeffs):
+        acc = (acc * y + CenterPoly(spec, [c])) % r
+    if not acc.is_zero():
         raise SplitSelfCheckError("minimal polynomial of the powered map "
                                   "is not r0*r1")
     # central denominator clearing element h: the lcm of the c that

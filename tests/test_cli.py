@@ -153,6 +153,8 @@ def test_classify_g_f_over_f4_has_no_cap_option(tmp_path):
     assert code == 0 and "verdict = A" in out
     code, out = run(["tools", "split", str(prob)])
     assert code == 0 and "n = 2\n" in out
+    # factor_i classifies the factors of A's own minimal polynomial
+    assert out.endswith("factor_1 = FrobeniusType(n=2, j=1)\n")
     for argv in (["classify", str(prob)], ["tools", "split", str(prob)]):
         with pytest.raises(SystemExit):
             main(argv + ["--cap", "1"])

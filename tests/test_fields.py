@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from frobsplit.fields import (CPoly, FieldSpec, RatFun, char_poly,
+from frobsplit.fields import (CPoly, FieldSpec, RatFun, _poly, char_poly,
                               kernel_basis, lift_cpoly, mat_mul, power,
                               rref, smallest_irreducible, solve_linear)
 from ratmat import determinant, mat_identity, prime_coords
@@ -65,6 +65,30 @@ def test_cpoly_divmod_gcd():
             assert g % d == CPoly.zero(spec)
             dd, u, v = f.xgcd(g)
             assert u * f + v * g == dd
+
+
+def test_poly_strips_a_long_zero_tail_with_one_slice():
+    # one slice however long the tail: a slice per zero was quadratic
+    # (3 s on 40000 zeros)
+    class Slices(list):
+        taken = 0
+
+        def __getitem__(self, i):
+            if isinstance(i, slice):
+                Slices.taken += 1
+                return Slices(list.__getitem__(self, i))
+            return list.__getitem__(self, i)
+
+    f = _poly(CPoly, F2, Slices([1, 1] + [0] * 40000))
+    assert f._c == (1, 1) and f == CPoly.from_ints(F2, [1, 1])
+    assert Slices.taken == 1
+    s40000 = CPoly.monomial(F2, F2.one(), 40000)
+    assert s40000.divmod(s40000) == (CPoly.one(F2), CPoly.zero(F2))
+    for c in ([], [0], (0, 0, 0), (2, 0, 1, 0, 0)):
+        want = tuple(c)
+        while want and not want[-1]:
+            want = want[:-1]
+        assert _poly(CPoly, FieldSpec.get(3, 1), c)._c == want
 
 
 def test_cpoly_norm_to_prime():

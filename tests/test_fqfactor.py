@@ -3,8 +3,8 @@
 import random
 
 from frobsplit.fields import CPoly, FieldSpec
-from frobsplit.fqfactor import (embedding, factor, is_irreducible,
-                                monic_irreducibles, roots)
+from frobsplit.fqfactor import (embedding, factor, factor_squarefree,
+                                is_irreducible, monic_irreducibles, roots)
 
 F2 = FieldSpec.get(2, 1)
 F4 = FieldSpec.get(2, 2)
@@ -25,6 +25,23 @@ def test_factor_roundtrip_random():
                 assert g.leading().is_one()
                 prod = prod * g ** m
             assert prod == f
+
+
+def test_factor_squarefree_equals_factor_on_squarefree_inputs():
+    rng = random.Random(21)
+    seen = 0
+    for spec in (F2, F4, F3):
+        for deg in range(1, 9):
+            for _ in range(6):
+                f = CPoly(spec, [spec.random_element(rng)
+                                 for _ in range(deg)] + [spec.one()])
+                if f.gcd(f.derivative()).degree:
+                    continue
+                seen += 1
+                _, facs = factor(f)
+                assert factor_squarefree(f) == [g for g, _ in facs]
+                assert all(m == 1 for _, m in facs)
+    assert seen > 60
 
 
 def test_known_factorizations():

@@ -262,15 +262,13 @@ def test_jordan_form_central():
     D = SkewMatrix(F2, [[SkewElem.from_ratfun(sr), SkewElem.zero(F2)],
                         [SkewElem.zero(F2),
                          SkewElem.from_ratfun(sr * sr)]])
-    a, cols, blocks = jordan_form_central(
-        D, factor_center(min_poly_center(D)))
+    a, cols, blocks = jordan_form_central(D, _eigen_bounds(D), 2)
     assert (a, blocks) == (0, [(1, 1), (2, 1)])
     assert cols == [[SkewElem.one(F2), SkewElem.zero(F2)],
                     [SkewElem.zero(F2), SkewElem.one(F2)]]
     for spec, size, a_want in ((F2, 2, 1), (F2, 3, 2), (F3, 3, 1)):
         J = _jordan_matrix(spec, [(1, size)])
-        factors = factor_center(min_poly_center(J))
-        a, cols, blocks = jordan_form_central(J, factors)
+        a, cols, blocks = jordan_form_central(J, _eigen_bounds(J), size)
         q = spec.p ** a
         assert (a, blocks) == (a_want, [(q, size)])
         Jq = J ** q
@@ -282,26 +280,35 @@ def test_jordan_form_central():
 
 
 def test_jordan_form_central_takes_known_factors():
-    # the result does not depend on the order of the factors and agrees
-    # with the greedy Jordan chains; only the given factors' eigenspaces
-    # are returned, and a nonlinear factor is refused
+    # the result does not depend on the order of the eigenvalues and
+    # agrees with the greedy Jordan chains; only the given eigenvalues'
+    # eigenspaces are returned; a comes from the kernels, not from the
+    # bounds, and kernels that stay short of dim are a self-check failure
     for blocks in ([(1, 2)], [(1, 1), (2, 2)]):
         A0 = _jordan_matrix(F2, blocks)
-        factors = factor_center(min_poly_center(A0))
-        got = jordan_form_central(A0, factors)
-        assert got == jordan_form_central(A0, factors[::-1])
+        eigen = _eigen_bounds(A0)
+        dim = A0.rows
+        got = jordan_form_central(A0, eigen, dim)
+        assert got == jordan_form_central(A0, eigen[::-1], dim)
         q = 2 ** got[0]
+        factors = factor_center(min_poly_center(A0))
         assert got[2] == [(k * q, m) for k, m in _greedy_jordan(A0, factors)]
     A0 = _jordan_matrix(F2, [(1, 1), (2, 2)])
-    x, s, one = x_s_one(F2)
-    a, cols, blocks = jordan_form_central(A0, [(x - CenterPoly(F2, [s]), 1)])
-    assert (a, blocks) == (0, [(1, 1)])
-    assert cols == [[SkewElem.one(F2), SkewElem.zero(F2), SkewElem.zero(F2)]]
-    a, cols, blocks = jordan_form_central(
-        A0, [(x - CenterPoly(F2, [s * s]), 2)])
+    e1 = [[SkewElem.one(F2), SkewElem.zero(F2), SkewElem.zero(F2)]]
+    assert jordan_form_central(A0, [(1, 1)], 1) == (0, e1, [(1, 1)])
+    assert jordan_form_central(A0, [(1, 4)], 1) == (0, e1, [(1, 1)])
+    a, cols, blocks = jordan_form_central(A0, [(2, 2)], 2)
     assert (a, blocks, len(cols)) == (1, [(4, 2)], 2)
-    with pytest.raises(ValueError, match="nonlinear factor"):
-        jordan_form_central(A0, [(x ** 2 - CenterPoly(F2, [s]), 1)])
+    with pytest.raises(split.SplitSelfCheckError,
+                       match="kernels do not span"):
+        jordan_form_central(A0, [(2, 1)], 2)
+
+
+def _eigen_bounds(A):
+    """The (k, e_k) pairs of the factors (x - s^k)^(e_k) of A's central
+    minimal polynomial."""
+    return [(split._monomial_of(-g.coeff(0))[1], e)
+            for g, e in factor_center(min_poly_center(A))]
 
 
 def _greedy_jordan(A0, factors):
@@ -411,15 +418,19 @@ def test_jordan_form_central_matches_greedy_reference(spec, blocks, rng):
 
 
 def test_split_factors_each_minimal_polynomial_once(monkeypatch):
-    # the Jordan step reuses the power-up round's factors of r: one
-    # factor_center call for A and one for A^n (F over F_4 needs n = 2)
-    calls = []
-    real = split.factor_center
-    monkeypatch.setattr(split, "factor_center",
-                        lambda r: calls.append(r) or real(r))
+    # one front-end round: B = A^n takes its eigenvalues from A's own
+    # factors, so F over F_4 (n = 2) computes and factors one minimal
+    # polynomial, A's, and never A^2's
+    calls = {"factor_center": [], "min_poly_center": []}
+    for name in calls:
+        real = getattr(split, name)
+        monkeypatch.setattr(split, name, lambda r, real=real, name=name:
+                            calls[name].append(r) or real(r))
     sp = split_endomorphism([[OrePoly.F(F4)]])
     assert sp.n == 2 and sp.blocks == [(1, 1)]
-    assert len(calls) == 2
+    assert [len(c) for c in calls.values()] == [1, 1]
+    assert calls["min_poly_center"][0] == SkewMatrix.from_ore(
+        F4, [[OrePoly.F(F4)]])
 
 
 def test_power_up():
@@ -433,7 +444,7 @@ def test_power_up():
             (F3, [(1, 2), (1, 1)], (1, [(3, 3)])),
             (F3, [(1, 4)], (2, [(9, 4)]))):
         J = _jordan_matrix(spec, blocks)
-        a, _, got = jordan_form_central(J, factor_center(min_poly_center(J)))
+        a, _, got = jordan_form_central(J, _eigen_bounds(J), J.rows)
         assert (a, got) == want
 
 
@@ -524,12 +535,12 @@ def test_split_exact_block_diagonal_identity():
     assert sp.r0.gcd(sp.r1).degree == 0
 
 
-def _problem(p, rows):
+def _problem(p, rows, d=1):
     n = len(rows)
     entries = "".join("entry_%d_%d = %s\n" % (i + 1, j + 1, e)
                       for i, row in enumerate(rows) for j, e in enumerate(row))
     return ("[field]\np = %d\nell = 1\n\n[map]\nn = %d\n%s\n"
-            "[question]\nd = 1\n" % (p, n, entries))
+            "[question]\nd = %d\n" % (p, n, entries, d))
 
 
 @pytest.mark.parametrize("p, rows, a", [
@@ -559,8 +570,11 @@ def test_power_up_that_does_not_settle_is_a_self_check_failure(
         return FactorClassification(g, FactorClassification.FROBENIUS,
                                     n=2, j=cls.j)
 
+    # forced n = 2 on F over F_2: B = F^2 = s^2 has no eigenvector for
+    # the claimed eigenvalue s^1, whose bound 1 stops the search at a = 0
     monkeypatch.setattr(split, "classify_factor", always_two)
-    with pytest.raises(split.SplitSelfCheckError, match="A\\^2"):
+    with pytest.raises(split.SplitSelfCheckError,
+                       match="kernels do not span"):
         split_endomorphism([[OrePoly.F(F2)]])
     prob = tmp_path / "p.txt"
     prob.write_text(_problem(2, [["F"]]))
@@ -570,6 +584,81 @@ def test_power_up_that_does_not_settle_is_a_self_check_failure(
     assert err.startswith("error: split self-check failed: ")
     assert err.count("\n") == 1
     assert not cert.exists()
+
+
+def test_wrong_r1_of_the_powered_map_is_a_self_check_failure(monkeypatch):
+    # diag(F, 1 + F) over F_2 has r = (x - s)(x - s - 1); an r1 of x - 1
+    # for A1 = 1 + F is coprime to r0 = x - s, but r does not divide
+    # r0*r1
+    real = split.min_poly_center
+    monkeypatch.setattr(split, "min_poly_center", lambda A: real(A) if
+                        A.rows == 2 else CenterPoly.x_minus(RatFun.one(F2)))
+    with pytest.raises(split.SplitSelfCheckError, match="not r0\\*r1"):
+        split_endomorphism([[OrePoly.F(F2), OrePoly.zero(F2)],
+                            [OrePoly.zero(F2), parse_ore("F+1", F2)]])
+
+
+def _cert(body, split_lines, digest):
+    return ("[certificate]\n%s\n[split]\n%sh = [1]\n%s\n[meta]\n"
+            "version = 0.1.0\ndigest = %s\n" % (body, split_lines[0],
+                                                split_lines[1], digest))
+
+
+def _t_identity(n):
+    return "".join("t_%d_%d = %d\n" % (i, j, int(i == j))
+                   for i in range(1, n + 1) for j in range(1, n + 1))
+
+
+# Shapes that no bench problem has, with certificates and split lines
+# captured from the split that re-factored B = A^n:
+# - e_k below the multiplicity m of A's factor: n = 2 for the swap
+#   [[0,F],[1,0]], and the Jordan block of F over F_2 (m = 2) squares to
+#   the scalar s^2, so a = 0;
+# - two factors of A sharing one k: x - s and x - 2s over F_3 both give
+#   s^2 in A^2;
+# - a shared k with a > 0;
+# - a k shared by factors of two degrees, the larger multiplicity first:
+#   (x - s)^2 and x^2 + s^2 over F_3 both give s^4 in A^4.
+OFF_BENCH = [
+    (2, [["F", "1", "0", "0"], ["0", "F", "0", "0"],
+         ["0", "0", "0", "F"], ["0", "0", "1", "0"]], 2,
+     ("n = 2\na = 0\nblocks = (1,2) ; (2,2)\n",
+      "r0 = (s^3) + (s + s^2)*x + x^2\nr1 = (1)\n"),
+     "kind = A\napplicable = A\nnvars = 2\nalpha_1 = t1\nalpha_2 = t2\n"
+     "alpha_3 = t1\nalpha_4 = t2\ndensity_m = 20\ndensity_d = 2\n"
+     "outcome = dense-up-to-D\n",
+     "132227cb208717a6fa25ce78304e60c4e664f31f91419347e938041b2936791a"),
+    (3, [["F", "0"], ["0", "2*F"]], 1,
+     ("n = 2\na = 0\nblocks = (2,2)\n", "r0 = (2*s^2) + x\nr1 = (1)\n"),
+     "kind = C\napplicable = C\nm = 2\nr = 2\n" + _t_identity(2),
+     "ba93c9b02ecc84357016f890bb486797da0e6e0dd8c6a133ad52d6b8486b41d2"),
+    (3, [["F", "1", "0"], ["0", "F", "0"], ["0", "0", "2*F"]], 1,
+     ("n = 6\na = 1\nblocks = (6,3)\n", "r0 = (2*s^6) + x\nr1 = (1)\n"),
+     "kind = C\napplicable = C\nm = 6\nr = 6\n" + _t_identity(3),
+     "c15f21822ae9537a341d4d0e2ada0c5c9fef49080d5c0ef93a9099b7cae29a00"),
+    (3, [["F", "1", "0", "0"], ["0", "F", "0", "0"],
+         ["0", "0", "0", "2*F^2"], ["0", "0", "1", "0"]], 1,
+     ("n = 12\na = 1\nblocks = (12,4)\n",
+      "r0 = (2*s^12) + x\nr1 = (1)\n"),
+     "kind = C\napplicable = C\nm = 12\nr = 12\n" + _t_identity(4),
+     "ccd61bfc060e3ba3e02d8f43da9b8551edbe6290507822d291bff415b8d6f973"),
+]
+
+
+@pytest.mark.parametrize("p, rows, d, split_lines, body, digest", OFF_BENCH,
+                         ids=["F2-e-below-m", "F3-shared-k",
+                              "F3-shared-k-a1", "F3-shared-k-two-degrees"])
+def test_off_bench_splits_are_pinned(tmp_path, capsys, p, rows, d,
+                                     split_lines, body, digest):
+    prob = tmp_path / "p.txt"
+    prob.write_text(_problem(p, rows, d))
+    cert = tmp_path / "c.txt"
+    assert main(["tools", "split", str(prob)]) == 0
+    assert capsys.readouterr().out.startswith("".join(split_lines))
+    assert main(["classify", str(prob), "--out", str(cert)]) == 0
+    assert cert.read_bytes() == _cert(body, split_lines, digest).encode()
+    assert main(["verify", str(cert), str(prob)]) == 0
+    assert capsys.readouterr().err == ""
 
 
 # diag(aF^2, bF^3, 1 + cF^4) over F_8 with (a, b, c) the first three draws
