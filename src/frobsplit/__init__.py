@@ -18,8 +18,7 @@ from .classify import (AdditiveMap, CertificateB,
                        classify, build_certificate_B, build_certificate_C,
                        derive_iterate_certificate, verify_certificate,
                        construct_independent_points, check_independence,
-                       witness_A, orbit, orbit_sequence, density_check,
-                       density_check_orbit)
+                       witness_A, orbit, density_check_orbit)
 from .fsets import (FpFModule, FSetDescriptor, LambdaEqInstance,
                     fset_enumerate, module_contains,
                     brute_force_intersection, solve_lambda_eq,

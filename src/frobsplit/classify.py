@@ -40,16 +40,6 @@ class AdditiveMap:
     def to_skew(self):
         return SkewMatrix.from_ore(self.spec, self.entries)
 
-    def apply(self, point):
-        out = []
-        for i in range(self.N):
-            acc = None
-            for j in range(self.N):
-                term = self.entries[i][j](point[j])
-                acc = term if acc is None else acc + term
-            out.append(acc)
-        return out
-
     def __eq__(self, other):
         return (isinstance(other, AdditiveMap)
                 and self.entries == other.entries)
@@ -380,28 +370,6 @@ def _columns(A, embed):
     return out
 
 
-def orbit_sequence(h, A0, A1, alpha0, alpha1, M):
-    """n-th term ([h] o (Phi_0^n, Phi_1^n))(alpha_0, alpha_1); the
-    sequence is built from matrix powers, not by iterating one map."""
-    hr = RatFun(h)
-    out = []
-    for n in range(M):
-        coords = []
-        for (B, alpha) in ((A0, alpha0), (A1, alpha1)):
-            if not alpha:
-                continue
-            Bn = B ** n
-            for i in range(Bn.rows):
-                acc = None
-                for j in range(Bn.cols):
-                    P = Bn.entries[i][j].scale_central(hr).to_ore()
-                    term = P(alpha[j])
-                    acc = term if acc is None else acc + term
-                coords.append(acc)
-        out.append(coords)
-    return out
-
-
 def _monomials(nvars, D):
     def rec(prefix, remaining, budget):
         if remaining == 0:
@@ -420,43 +388,88 @@ def _specialization_field(spec):
     return FieldSpec.get(spec.p, k)
 
 
-def density_check(points, D, seed=0, trials=3):
-    """Empirical Zariski density of a finite point set up to degree D.
+_TRIALS = 3  # random specializations tried before the symbolic re-check
+DENSITY_M = 20  # default orbit length of the density check
+DENSITY_D = 2  # default monomial degree of the density check
+
+
+def density_check_orbit(A, alpha, M, D, seed=0):
+    """Empirical Zariski density of the first M orbit points of alpha
+    under A, up to degree D.
 
     Full column rank of the monomial-evaluation matrix under any random
-    specialization certifies that no polynomial of degree <= D vanishes
-    on all points (exact: a vanishing polynomial would force a singular
-    specialization).  A rank-deficient kernel vector is only reported
-    after exact symbolic re-verification.  Every point is specialized
-    before a trial starts, so a pole at any of them forces a redraw."""
-    if not points:
-        raise ValueError("density check of an empty point set")
-
-    def specialize(values, emb):
-        return [[c.evaluate(values, emb).packed for c in pt] for pt in points]
-    return _density(points[0][0], len(points[0]), len(points), D, specialize,
-                    lambda: points, seed, trials)
-
-
-def density_check_orbit(A, alpha, M, D, seed=0, trials=3):
-    """Density check of the orbit of alpha under A, specializing alpha
-    before iterating.  The map is polynomial, so iteration commutes with
-    specialization; this avoids the symbolic orbit, whose coordinates can
-    grow exponentially in term count.  The symbolic orbit is only built
-    if a candidate vanishing polynomial must be re-verified.
-
-    Only alpha can hit a pole: A has no division, so the later points are
-    made lazily, and a trial that reaches full rank never makes the rest.
-    A's coefficients are embedded into the specialization field once."""
+    specialization of the variables certifies that no polynomial of
+    degree <= D vanishes on the orbit (exact: a vanishing polynomial
+    would force a singular specialization).  The map is polynomial, so
+    iteration commutes with specialization: alpha is specialized into a
+    field of at least 2^20 elements, A's coefficients are embedded there
+    once, and the points are made lazily, so a trial reads them only
+    until its monomial rows reach full rank.  Only alpha can hit a pole
+    (A has no division); a pole draws another assignment.  A kernel
+    vector of a rank-deficient trial is only reported after exact
+    re-verification on the symbolic orbit, which is built only when
+    every trial is deficient, since its coordinates can grow
+    exponentially in term count."""
+    if M < 1 or D < 1:
+        raise ValueError("density check needs M >= 1 and D >= 1")
+    mons = _monomials(A.N, D)
     big = _specialization_field(alpha[0].spec)
+    emb = embedding(alpha[0].spec, big)
     embed = embedding(A.spec, big)
     columns = _columns(A, lambda a: embed(a).packed)
+    mul = big._mul
+    factors = [[(v, e) for v, e in enumerate(m) if e] for m in mons]
 
-    def specialize(values, emb):
-        x = [c.evaluate(values, emb).packed for c in alpha]
-        return _packed_orbit(big, columns, x, M)
-    return _density(alpha[0], A.N, M, D, specialize,
-                    lambda: orbit(A, alpha, M), seed, trials)
+    def monomial_rows(pts):
+        for x in pts:
+            tables = []  # tables[v][e] = x_v^e
+            for v in x:
+                table = [1, v]
+                for _ in range(D - 1):
+                    table.append(mul(table[-1], v))
+                tables.append(table)
+            row = []
+            for fs in factors:
+                acc = 1
+                for v, e in fs:  # 1 * t = t: the first factor is no product
+                    acc = tables[v][e] if acc == 1 else mul(acc, tables[v][e])
+                row.append(acc)
+            yield row
+
+    rng = random.Random(seed)
+    ranks = []
+    kernel_candidates = []
+    for trial in range(_TRIALS):
+        for _ in range(64):
+            values = [big.random_element(rng)
+                      for _ in range(alpha[0].nvars)]
+            try:
+                x = [c.evaluate(values, emb).packed for c in alpha]
+            except ZeroDivisionError:
+                continue
+            break
+        else:
+            ranks.append(-1)
+            continue
+        rows, pivots = rref_packed(big, monomial_rows(
+            _packed_orbit(big, columns, x, M)), len(mons))
+        ranks.append(len(pivots))
+        if len(pivots) == len(mons):
+            return DensityReport(M, D, "dense-up-to-D", trials=trial + 1,
+                                 field_size=big.q, ranks=ranks)
+        rows = [[big._view(c) for c in row] for row in rows]
+        kernel_candidates.extend(rref_kernel(rows, pivots, len(mons),
+                                             big.zero(), big.one()))
+    # rank deficient in every trial: try to certify a vanishing polynomial
+    emb_pts = [[_mrat_embed(c, big) for c in pt] for pt in orbit(A, alpha, M)]
+    for vec in kernel_candidates:
+        if _vanishes_symbolically(emb_pts, mons, vec, big):
+            poly = [(m, c) for m, c in zip(mons, vec) if not c.is_zero()]
+            return DensityReport(M, D, "vanishing-polynomial",
+                                 polynomial=poly, trials=_TRIALS,
+                                 field_size=big.q, ranks=ranks)
+    return DensityReport(M, D, "dense-up-to-D", trials=_TRIALS,
+                         field_size=big.q, ranks=ranks)
 
 
 def _packed_orbit(big, columns, x, M):
@@ -480,73 +493,6 @@ def _packed_orbit(big, columns, x, M):
         yield x
 
 
-def _density(coord, N, M, D, specialize, symbolic_points, seed, trials):
-    """The density check of M points in N coordinates over F_q(t_1..):
-    `coord` is one coordinate (for the field and the variable count),
-    `specialize(values, emb)` gives the points, as lists of packed ints,
-    at one random assignment of the variables in the specialization field
-    (ZeroDivisionError at a pole, and then another assignment is drawn),
-    and `symbolic_points()` the exact points, built only when a kernel
-    vector must be verified.  Each trial reads points only until its
-    monomial rows reach full rank."""
-    if M < 1 or D < 1:
-        raise ValueError("density check needs M >= 1 and D >= 1")
-    mons = _monomials(N, D)
-    big = _specialization_field(coord.spec)
-    emb = embedding(coord.spec, big)
-    mul = big._mul
-    factors = [[(v, e) for v, e in enumerate(m) if e] for m in mons]
-
-    def monomial_rows(pts):
-        for x in pts:
-            tables = []  # tables[v][e] = x_v^e
-            for v in x:
-                table = [1, v]
-                for _ in range(D - 1):
-                    table.append(mul(table[-1], v))
-                tables.append(table)
-            row = []
-            for fs in factors:
-                acc = 1
-                for v, e in fs:  # 1 * t = t: the first factor is no product
-                    acc = tables[v][e] if acc == 1 else mul(acc, tables[v][e])
-                row.append(acc)
-            yield row
-
-    rng = random.Random(seed)
-    ranks = []
-    kernel_candidates = []
-    for trial in range(trials):
-        for _ in range(64):
-            values = [big.random_element(rng) for _ in range(coord.nvars)]
-            try:
-                pts = specialize(values, emb)
-            except ZeroDivisionError:
-                continue
-            break
-        else:
-            ranks.append(-1)
-            continue
-        rows, pivots = rref_packed(big, monomial_rows(pts), len(mons))
-        ranks.append(len(pivots))
-        if len(pivots) == len(mons):
-            return DensityReport(M, D, "dense-up-to-D", trials=trial + 1,
-                                 field_size=big.q, ranks=ranks)
-        rows = [[big._view(c) for c in row] for row in rows]
-        kernel_candidates.extend(rref_kernel(rows, pivots, len(mons),
-                                             big.zero(), big.one()))
-    # rank deficient in every trial: try to certify a vanishing polynomial
-    emb_pts = [[_mrat_embed(c, big) for c in pt] for pt in symbolic_points()]
-    for vec in kernel_candidates:
-        if _vanishes_symbolically(emb_pts, mons, vec, big):
-            poly = [(m, c) for m, c in zip(mons, vec) if not c.is_zero()]
-            return DensityReport(M, D, "vanishing-polynomial",
-                                 polynomial=poly, trials=trials,
-                                 field_size=big.q, ranks=ranks)
-    return DensityReport(M, D, "dense-up-to-D", trials=trials,
-                         field_size=big.q, ranks=ranks)
-
-
 def _vanishes_symbolically(emb_pts, mons, vec, big):
     nvars = emb_pts[0][0].nvars
     for pt in emb_pts:
@@ -567,10 +513,11 @@ def _vanishes_symbolically(emb_pts, mons, vec, big):
 # ---------------------------------------------------------------------------
 # the trichotomy
 
-def witness_A(split, d, density_M=20, density_D=2, seed=0, A=None):
+def witness_A(split, d, A, density_M=DENSITY_M, density_D=DENSITY_D, seed=0):
     """Witness point for verdict A: fresh variables on each Frobenius
     block (reused across blocks), multiplicatively independent
-    coordinates for the rest, pulled back through [h] o P^{-1}."""
+    coordinates for the rest, pulled back through [h] o P^{-1}, with
+    the density report of its orbit under A."""
     spec = split.spec
     if split.N0 and (split.min_ni() == 0 or split.max_mi() > d):
         raise ValueError("verdict A preconditions violated")
@@ -593,11 +540,8 @@ def witness_A(split, d, density_M=20, density_D=2, seed=0, A=None):
                 continue
             acc = acc + P(y[j])
         alpha.append(acc)
-    report = None
-    if A is not None:
-        report = density_check_orbit(A, alpha, density_M, density_D,
-                                     seed=seed)
-    return WitnessA(alpha, report)
+    return WitnessA(alpha, density_check_orbit(A, alpha, density_M,
+                                               density_D, seed=seed))
 
 
 class CertificateSelfCheckError(RuntimeError):
@@ -612,7 +556,7 @@ def _self_check(A, cert):
         raise CertificateSelfCheckError(reason)
 
 
-def classify(A, d, density_M=20, density_D=2, seed=0):
+def classify(A, d, density_M=DENSITY_M, density_D=DENSITY_D, seed=0):
     """Decide the trichotomy for a dominant AdditiveMap and d >= 1."""
     if not isinstance(A, AdditiveMap):
         A = AdditiveMap(A)
@@ -636,8 +580,8 @@ def classify(A, d, density_M=20, density_D=2, seed=0):
         cert = build_certificate_C(split, d)
         _self_check(A, cert)
         return Verdict("C", cert, split, applicable)
-    cert = witness_A(split, d, density_M=density_M, density_D=density_D,
-                     seed=seed, A=A)
+    cert = witness_A(split, d, A, density_M=density_M, density_D=density_D,
+                     seed=seed)
     if not cert.report.is_dense():
         raise CertificateSelfCheckError(
             "witness orbit is not dense: %s, ranks %r"

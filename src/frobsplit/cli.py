@@ -11,7 +11,8 @@ Exit codes: 0 ok, 1 parse/validation error, 2 a degree/size cap of the
 engine (the x- or s-degree of the central minimal polynomial, a p^e - 1
 with a factor past trial division to 2^20 while ordering a root of
 unity, a lambda with a denominator past degree 2^10, a power of lambda
-past degree 2^20, a lambda equation with r > 3), 3
+past degree 2^20, a lambda equation with r > 3, an F-set or module
+enumeration of more than 100000 points), 3
 certificate/problem digest mismatch, 4 certificate verification failure
 (including a certificate that fails its self-check inside classify).
 """
@@ -29,9 +30,10 @@ from .skew import min_poly_center, tilde
 from .split import (CapacityError, NonDominantError, SplitSelfCheckError,
                     split_endomorphism)
 from .classify import (AdditiveMap, CertificateB, CertificateC,
-                       CertificateSelfCheckError, check_independence,
-                       classify, construct_independent_points,
-                       density_check_orbit, orbit, verify_certificate)
+                       CertificateSelfCheckError, DENSITY_D, DENSITY_M,
+                       check_independence, classify,
+                       construct_independent_points, density_check_orbit,
+                       orbit, verify_certificate)
 from .fsets import (FpFModule, FSetDescriptor, LambdaEqInstance,
                     fset_enumerate, solve_lambda_eq)
 
@@ -50,7 +52,7 @@ _KNOWN_SECTIONS = {
     "lambda": {"lambda", "c"},
     "fset": None,       # gamma0, gamma_i, k_i, h_i, b, module_bound, ...
     "point": None,      # nvars plus x_i keys
-    "certificate": None,
+    "certificate": None,  # per kind, validated in parse_certificate
     "split": {"n", "a", "blocks", "h", "r0", "r1"},
     "meta": {"version", "digest"},
 }
@@ -398,10 +400,9 @@ def format_certificate(verdict, digest):
         lines.append("nvars = %d" % nv)
         for i, c in enumerate(cert.alpha, 1):
             lines.append("alpha_%d = %s" % (i, repr(c)))
-        if rep is not None:
-            lines.append("density_m = %d" % rep.M)
-            lines.append("density_d = %d" % rep.D)
-            lines.append("outcome = %s" % rep.outcome)
+        lines.append("density_m = %d" % rep.M)
+        lines.append("density_d = %d" % rep.D)
+        lines.append("outcome = %s" % rep.outcome)
     split = verdict.split
     lines.append("")
     lines.append("[split]")
@@ -450,6 +451,7 @@ def parse_certificate(text, spec):
         if not v:
             raise CLIError("certificate B has no row entries")
         payload = CertificateB(v, n)
+        known = {"n"} | {"v_%d" % j for j in range(1, len(v) + 1)}
     elif kind == "C":
         m = _get_int(csec, "m", "certificate")
         r = _get_int(csec, "r", "certificate")
@@ -470,6 +472,9 @@ def parse_certificate(text, spec):
         if not T:
             raise CLIError("certificate C has no rows")
         payload = CertificateC(T, m, r)
+        known = {"m", "r"} | {"t_%d_%d" % (i, j)
+                              for i, row in enumerate(T, 1)
+                              for j in range(1, len(row) + 1)}
     elif kind == "A":
         nvars = _get_int(csec, "nvars", "certificate")
         alpha = []
@@ -482,12 +487,18 @@ def parse_certificate(text, spec):
         payload = {
             "alpha": alpha,
             "density_m": _positive(_get_int(csec, "density_m", "certificate",
-                                            default=20), "density_m"),
+                                            default=DENSITY_M), "density_m"),
             "density_d": _positive(_get_int(csec, "density_d", "certificate",
-                                            default=2), "density_d"),
+                                            default=DENSITY_D), "density_d"),
         }
+        known = {"nvars", "density_m", "density_d", "outcome"} | {
+            "alpha_%d" % i for i in range(1, len(alpha) + 1)}
     else:
         raise CLIError("unknown certificate kind %r" % kind)
+    extra = set(csec) - known - {"kind", "applicable"}
+    if extra:
+        raise CLIError("unknown keys in [certificate]: %s"
+                       % ", ".join(sorted(extra)))
     return CertificateData(kind, payload, meta["digest"], sections)
 
 
@@ -504,9 +515,9 @@ def cmd_classify(args, out):
     if d < 1:
         raise CLIError("dimension d must be >= 1")
     density_m = _positive(args.density_M if args.density_M is not None
-                          else q.get("density_m", 20), "density_m")
+                          else q.get("density_m", DENSITY_M), "density_m")
     density_d = _positive(args.density_D if args.density_D is not None
-                          else q.get("density_d", 2), "density_d")
+                          else q.get("density_d", DENSITY_D), "density_d")
     seed = args.seed if args.seed is not None else q.get("seed", 0)
     try:
         verdict = classify(A, d, density_M=density_m, density_D=density_d,
@@ -710,7 +721,7 @@ def main(argv=None):
         if args.command == "tools":
             if args.tool in ("orbit", "density", "lambda-density") \
                     and args.M is None:
-                args.M = {"orbit": 10, "density": 20,
+                args.M = {"orbit": 10, "density": DENSITY_M,
                           "lambda-density": 64}[args.tool]
             return cmd_tools(args, out)
         parser.error("unknown command")

@@ -15,6 +15,7 @@ from .fields import CPoly, barrett_slots, rref
 from .mrat import MPoly, MRatFun, fp_kernel, linearize_fractions
 from .split import CapacityError
 
+ENUMERATION_CAP = 100000  # most module elements or F-set points enumerated
 
 def _point_frobenius(point, e):
     return tuple(c.frobenius_pow(e) for c in point)
@@ -52,7 +53,7 @@ class FpFModule:
     def is_trivial(self):
         return not self.generators
 
-    def elements(self, bound, cap=100000):
+    def elements(self, bound):
         """All (element, representation) with deg P_i <= bound.  The
         representation lists the integer coefficients of each P_i."""
         if bound < 0:
@@ -61,9 +62,9 @@ class FpFModule:
             return []
         p = self.spec.p
         count = p ** ((bound + 1) * len(self.generators))
-        if count > cap:
+        if count > ENUMERATION_CAP:
             raise CapacityError("module enumeration of size %d exceeds "
-                                "cap %d" % (count, cap))
+                                "cap %d" % (count, ENUMERATION_CAP))
         frob = [[_point_frobenius(g, e) for e in range(bound + 1)]
                 for g in self.generators]
         out = []
@@ -109,7 +110,7 @@ class FSetDescriptor:
                                                       self.ks, self.H)
 
 
-def fset_enumerate(desc, B, module_bound, include_zero=False, cap=100000):
+def fset_enumerate(desc, B, module_bound, include_zero=False):
     """All points gamma_0 + sum F^(n_i k_i)(gamma_i) + h with exponents
     n_i in [1, B] (or [0, B] with include_zero) and h from the bounded
     module elements.  Exact and deduplicated."""
@@ -125,10 +126,10 @@ def fset_enumerate(desc, B, module_bound, include_zero=False, cap=100000):
     if desc.H.is_trivial():
         h_elems = [(_point_zero(spec, nvars, desc.N), ())]
     else:
-        h_elems = desc.H.elements(module_bound, cap=cap)
-    if n_tuples * len(h_elems) > cap:
+        h_elems = desc.H.elements(module_bound)
+    if n_tuples * len(h_elems) > ENUMERATION_CAP:
         raise CapacityError("F-set enumeration of size %d exceeds cap %d"
-                            % (n_tuples * len(h_elems), cap))
+                            % (n_tuples * len(h_elems), ENUMERATION_CAP))
     # A point with polynomial coordinates is looked up by its key; it
     # can still equal a kept point with a denominator, such as (t^2)/(t)
     # = t, which MRatFun keeps unreduced.  Other points are compared with
@@ -216,11 +217,11 @@ class IntersectionReport:
             len(self.solutions), len(self.patterns))
 
 
-def brute_force_intersection(V, Gamma, bound, cap=100000):
+def brute_force_intersection(V, Gamma, bound):
     """Exactly the Gamma-elements within the degree bound satisfying
     every equation of V, each with its representation sum P_i(F)(g_i)."""
     solutions = []
-    for pt, rep in Gamma.elements(bound, cap=cap):
+    for pt, rep in Gamma.elements(bound):
         if all(eval_equation(eq, pt).is_zero() for eq in V):
             solutions.append((pt, rep))
     return IntersectionReport(solutions)

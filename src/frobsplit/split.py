@@ -456,7 +456,7 @@ def classify_factor(g):
     lies in F_p[y], because F_p is algebraically closed in F_p(s).  Then
     it is f^r with f irreducible over F_p, ord(w) is the order of y in
     F_p[y]/(f), n = t0 * ord(w), and the answer is checked once against
-    the defining identity char_poly(C^n) = (x - s^j)^d."""
+    the defining identity x^n = s^j mod g."""
     spec = g.spec
     d = g.degree
     if d < 1:
@@ -493,10 +493,8 @@ def classify_factor(g):
     order = _order_of_root(facs[0][0])
     n = t0 * order
     j = k * n // d
-    target = CenterPoly.x_minus(RatFun(
-        CPoly.monomial(spec, spec.one(), j), _canonical=True)) ** d
-    if CenterPoly(spec, char_poly(power(Ct0, order, None, mat_mul))) \
-            != target:
+    s_j = RatFun(CPoly.monomial(spec, spec.one(), j), _canonical=True)
+    if powmod(CenterPoly.x(spec), n, g) != CenterPoly(spec, [s_j]):
         raise SplitSelfCheckError("roots of %r to the power %d are not s^%d"
                                   % (g, n, j))
     return FactorClassification(g, FactorClassification.FROBENIUS, n=n, j=j)

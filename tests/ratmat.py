@@ -1,5 +1,6 @@
 """RatFun helpers shared by the tests (not used in src): square matrix
-helpers, and the F_p(s)-coordinates of an element of F_q(s)."""
+helpers, the F_p(s)-coordinates of an element of F_q(s), and an
+AdditiveMap applied to one point."""
 
 from frobsplit.fields import CPoly, RatFun, _poly, char_poly
 
@@ -39,3 +40,16 @@ def prime_coords(rf):
     return [RatFun(_poly(CPoly, spec, [(c >> (w * k)) & mask
                                        for c in num2._c]), den2)
             for k in range(ell)]
+
+
+def apply_map(A, point):
+    """A * point for an AdditiveMap A: entry (i, j) applied to
+    coordinate j, summed over j."""
+    out = []
+    for i in range(A.N):
+        acc = None
+        for j in range(A.N):
+            term = A.entries[i][j](point[j])
+            acc = term if acc is None else acc + term
+        out.append(acc)
+    return out

@@ -1,17 +1,22 @@
 """The dense-orbit trichotomy: verdicts, certificates, witness points,
 density checks, and the independence machinery."""
 
+import importlib
+import random
+
 from frobsplit.fields import FieldSpec
+from frobsplit.fqfactor import embedding
 from frobsplit.mrat import MRatFun
 from frobsplit.ore import OrePoly, parse_ore
 from frobsplit.classify import (AdditiveMap, CertificateC, classify,
                                 check_independence,
                                 construct_independent_points,
-                                density_check, density_check_orbit,
+                                density_check_orbit,
                                 derive_iterate_certificate, orbit,
-                                orbit_sequence, verify_certificate,
-                                witness_A)
+                                verify_certificate, witness_A)
 from frobsplit.split import split_endomorphism
+
+C = importlib.import_module("frobsplit.classify")
 
 F2 = FieldSpec.get(2, 1)
 F4 = FieldSpec.get(2, 2)
@@ -91,33 +96,38 @@ def test_verdict_priority_and_applicable():
 
 def test_density_check_dense():
     t = MRatFun.var(F2, 1, 0)
-    pts = orbit(AdditiveMap([[OrePoly.F(F2)]]), [t], 5)
-    rep = density_check(pts, 2)
+    rep = density_check_orbit(AdditiveMap([[OrePoly.F(F2)]]), [t], 5, 2)
     assert rep.is_dense() and rep.ranks[0] == 3
 
 
 def test_density_check_finds_vanishing_polynomial():
     z = MRatFun.zero(F2, 1)
-    rep = density_check([[z]] * 4, 1)
+    rep = density_check_orbit(AdditiveMap([[OrePoly.F(F2)]]), [z], 4, 1)
     assert rep.outcome == "vanishing-polynomial"
     assert any(m == (1,) for m, c in rep.polynomial)
     t = MRatFun.var(F2, 1, 0)
     A = AdditiveMap([[OrePoly.F(F2), OrePoly.zero(F2)],
                      [OrePoly.zero(F2), OrePoly.F(F2)]])
-    rep = density_check(orbit(A, [t, t], 6), 1)
+    rep = density_check_orbit(A, [t, t], 6, 1)
     assert rep.outcome == "vanishing-polynomial"
     mons = dict(rep.polynomial)
     assert (1, 0) in mons and (0, 1) in mons and (0, 0) not in mons
 
 
 def test_density_check_orbit_matches_symbolic():
-    # specialize-then-iterate must agree with the symbolic orbit check
+    # specialize-then-iterate must agree with the symbolic orbit
     t = MRatFun.var(F2, 1, 0)
     A = AdditiveMap([[parse_ore("F + 1", F2)]])
     alpha = [MRatFun.one(F2, 1) / t]
-    numeric = density_check_orbit(A, alpha, 25, 3)
-    symbolic = density_check(orbit(A, alpha, 25), 3)
-    assert numeric.is_dense() and symbolic.is_dense()
+    assert density_check_orbit(A, alpha, 25, 3).is_dense()
+    big = C._specialization_field(F2)
+    emb = embedding(F2, big)
+    columns = C._columns(A, lambda a: emb(a).packed)
+    values = [big.random_element(random.Random(1))]
+    x = [c.evaluate(values, emb).packed for c in alpha]
+    assert list(C._packed_orbit(big, columns, x, 25)) == \
+        [[c.evaluate(values, emb).packed for c in pt]
+         for pt in orbit(A, alpha, 25)]
     Adeg = AdditiveMap([[OrePoly.F(F2), OrePoly.zero(F2)],
                         [OrePoly.zero(F2), OrePoly.F(F2)]])
     rep = density_check_orbit(Adeg, [t, t], 6, 1)
@@ -146,12 +156,10 @@ def test_planted_dependence_detected():
     assert ("gamma", 0, 1) in labels and ("gamma", 1, 0) in labels
 
 
-def test_witness_and_orbit_sequence():
-    sp = split_endomorphism([[OrePoly.F(F2), OrePoly.zero(F2)],
-                             [OrePoly.zero(F2), parse_ore("F+1", F2)]])
-    w = witness_A(sp, 1)
+def test_witness_A_reports_the_density_of_its_orbit():
+    A = AdditiveMap([[OrePoly.F(F2), OrePoly.zero(F2)],
+                     [OrePoly.zero(F2), parse_ore("F+1", F2)]])
+    w = witness_A(split_endomorphism(A.to_skew()), 1, A)
     assert len(w.alpha) == 2
-    alpha0 = [MRatFun.var(F2, 1, 0)]
-    gam = construct_independent_points(1, alpha0, F2, 1)
-    seq = orbit_sequence(sp.h, sp.A0, sp.A1, alpha0, gam, 4)
-    assert len(seq) == 4 and len(seq[0]) == 2
+    assert repr(w.report) == repr(density_check_orbit(A, w.alpha, 20, 2))
+    assert w.report.is_dense() and (w.report.M, w.report.D) == (20, 2)

@@ -640,3 +640,42 @@ def test_zero_denominator_is_error_exit_1(tmp_path, capsys):
                               + argv, env=env, capture_output=True,
                               text=True, timeout=120)
         assert (done.returncode, done.stdout, done.stderr) == (1, "", err)
+
+
+@pytest.mark.parametrize("kind,extra", [
+    ("C", "t_2_4 = F^9"), ("C", "t_3_5 = F^9"), ("C", "v_1 = 1"),
+    ("C", "bogus = 7"), ("B", "alpha_1 = t1"),
+    ("B", "outcome = dense-up-to-D"), ("A", "n = 1"), ("A", "t_1_1 = F")])
+def test_certificate_key_its_kind_does_not_read_is_error_exit_1(
+        tmp_path, capsys, kind, extra):
+    # diag(F, F) over F_2 gives C with t_1_1 .. t_2_2, the identity B with
+    # v_1, and F + 1 gives A
+    prob = tmp_path / "p.txt"
+    prob.write_text({"B": IDENTITY, "C": DIAG_FF, "A": F_PLUS_1}[kind])
+    cert = tmp_path / "c.txt"
+    assert run(["classify", str(prob), "--out", str(cert)])[0] == 0
+    assert run(["verify", str(cert), str(prob)])[0] == 0
+    text = cert.read_text()
+    section = text.split("\n\n[split]")[0]
+    assert "kind = %s\n" % kind in section
+    assert "\n%s = " % extra.split()[0] not in section
+    cert.write_text(text.replace("\n\n[split]", "\n%s\n\n[split]" % extra))
+    capsys.readouterr()
+    assert main(["verify", str(cert), str(prob)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: unknown keys in [certificate]: %s\n" \
+        % extra.split()[0]
+
+
+def test_fset_enumeration_past_the_cap_is_bound_exit_2(tmp_path, capsys):
+    # three gamma_i with b = 50 make 50^3 = 125000 exponent tuples
+    prob = tmp_path / "p.txt"
+    prob.write_text("[field]\np = 5\nell = 1\n\n[fset]\ngamma0 = 0\n"
+                    "gamma_1 = t1\nk_1 = 1\ngamma_2 = t1^2\nk_2 = 1\n"
+                    "gamma_3 = t1^3\nk_3 = 1\nb = 50\n")
+    assert main(["tools", "fset", str(prob)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: bound exhausted: F-set enumeration of size "
+                   "125000 exceeds cap 100000\n")

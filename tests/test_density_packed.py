@@ -1,11 +1,11 @@
 """The density check on packed ints: `fields.rref_packed` against `rref`,
 `mrat.fp_kernel` against the FqElem elimination it replaced, and
-`classify.density_check` / `density_check_orbit` against the FqElem
-implementation they replaced, which is kept here as the reference (full
-`rref` on every row, every orbit point through `AdditiveMap.apply`, and
-every monomial as a product of FqElem powers).  Also: a full-rank trial
-reads no orbit point past full rank, a pole at the last point of a point
-set still forces a redraw, and `classify` never emits A without a dense
+`classify.density_check_orbit` against the FqElem implementation it
+replaced, which is kept here as the reference (full `rref` on every row,
+every orbit point through `apply_map` or taken from the symbolic orbit,
+and every monomial as a product of FqElem powers).  Also: a full-rank
+trial reads no orbit point past full rank, one call builds the
+specialization field once, and `classify` never emits A without a dense
 report."""
 
 import contextlib
@@ -22,6 +22,7 @@ from frobsplit.fields import FieldSpec, rref, rref_kernel, rref_packed
 from frobsplit.fqfactor import embedding
 from frobsplit.mrat import MPoly, MRatFun, fp_kernel
 from frobsplit.ore import OrePoly, parse_ore
+from ratmat import apply_map
 
 C = importlib.import_module("frobsplit.classify")
 F2 = FieldSpec.get(2, 1)
@@ -42,7 +43,7 @@ def reference_density_check_orbit(A, alpha, M, D, seed=0, trials=3):
     def specialize(values, emb):
         pts = [[c.evaluate(values, emb) for c in alpha]]
         for _ in range(M - 1):
-            pts.append(A.apply(pts[-1]))
+            pts.append(apply_map(A, pts[-1]))
         return pts
     return _reference_density(alpha[0], A.N, M, D, specialize,
                               lambda: C.orbit(A, alpha, M), seed, trials)
@@ -246,9 +247,8 @@ def test_packed_density_matches_reference(pe, grow, data):
         report = C.density_check_orbit(A, alpha, M, D, seed=seed)
         same_report(report,
                     reference_density_check_orbit(A, alpha, M, D, seed=seed))
-        pts = C.orbit(A, alpha, M)
-        same_report(C.density_check(pts, D, seed=seed),
-                    reference_density_check(pts, D, seed=seed))
+        same_report(report, reference_density_check(C.orbit(A, alpha, M), D,
+                                                    seed=seed))
     event(report.outcome)
     event("trials %d" % report.trials)
     if -1 in report.ranks:
@@ -309,37 +309,25 @@ def test_known_defect_b_orbit_keeps_its_deficient_trials():
         A, verdict.certificate.alpha, 20, 2))
 
 
-def _min_poly_over_f2(v):
-    """A polynomial over F_2 in one variable that vanishes at v: the
-    product of (t - v^(2^i)) over the conjugates of v."""
-    big = v.spec
-    poly = [big.one()]  # coefficients, lowest degree first
-    for i in range(big.ell):
-        root = v ** (2 ** i)
-        poly = [a - root * b for a, b in
-                zip([big.zero()] + poly, poly + [big.zero()])]
-    assert all(c.in_prime_field() for c in poly)
-    return MPoly(F2, 1, {(k,): F2.from_int(c.packed)
-                         for k, c in enumerate(poly) if c.packed})
+def test_one_specialization_field_per_call(monkeypatch):
+    # the field is built once per call, also when every trial is
+    # deficient and the symbolic orbit is built to re-check the kernel
+    calls = []
+    specialization_field = C._specialization_field
 
-
-def test_density_check_redraws_on_a_pole_at_its_last_point(monkeypatch):
-    big = C._specialization_field(F2)
-    first = big.random_element(random.Random(0))
+    def counting(spec):
+        calls.append(spec)
+        return specialization_field(spec)
+    monkeypatch.setattr(C, "_specialization_field", counting)
     t = MRatFun.var(F2, 1, 0)
-    pts = [[t ** k] for k in range(1, 4)]
-    pts.append([MRatFun(MPoly.one(F2, 1), _min_poly_over_f2(first))])
-    draws = []
-    random_element = type(big).random_element
-
-    def counting(self, rng):
-        draws.append(0)
-        return random_element(self, rng)
-    monkeypatch.setattr(type(big), "random_element", counting)
-    report = C.density_check(pts, 1)
-    # the first draw is a pole of the last point only; the second is not
-    assert len(draws) == 2
-    assert report.is_dense() and report.ranks == (2,) and report.trials == 1
+    F = OrePoly.F(F2)
+    z = OrePoly.zero(F2)
+    assert C.density_check_orbit(C.AdditiveMap([[F]]), [t], 5, 2).is_dense()
+    assert len(calls) == 1
+    report = C.density_check_orbit(C.AdditiveMap([[F, z], [z, F]]), [t, t],
+                                   6, 1)
+    assert report.outcome == "vanishing-polynomial" and report.trials == 3
+    assert len(calls) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -361,9 +349,9 @@ d = 1
 
 def test_classify_raises_on_a_report_that_is_not_dense(monkeypatch,
                                                        tmp_path):
-    def vanishing(A, alpha, M, D, seed=0, trials=3):
+    def vanishing(A, alpha, M, D, seed=0):
         return C.DensityReport(M, D, "vanishing-polynomial", polynomial=[],
-                               trials=trials, field_size=2 ** 20,
+                               trials=3, field_size=2 ** 20,
                                ranks=(1, 1, 1))
     A = C.AdditiveMap([[parse_ore("F + 1", F2)]])
     assert C.classify(A, 1).kind == "A"

@@ -6,7 +6,7 @@ The references are the routines they replaced, kept here:
 rebuilt for each function, coefficients read through `FqElem.coeffs`),
 `reference_check_independence` (every Frobenius power g^(p^e) over its
 own denominator den^(p^e)) and `reference_orbit` (every point through
-`AdditiveMap.apply`, which multiplies the denominators of a sum)."""
+`ratmat.apply_map`, which multiplies the denominators of a sum)."""
 
 import contextlib
 import importlib
@@ -21,6 +21,7 @@ from frobsplit.fields import FieldSpec
 from frobsplit.mrat import (MPoly, MRatFun, common_denominator, fp_kernel,
                             frobenius_cofactors, linearize_fractions)
 from frobsplit.ore import OrePoly
+from ratmat import apply_map
 
 C = importlib.import_module("frobsplit.classify")
 S = importlib.import_module("frobsplit.fsets")
@@ -91,7 +92,7 @@ def reference_check_independence(gammas, deltas, D, k):
 def reference_orbit(A, alpha, M):
     pts = [list(alpha)]
     for _ in range(M - 1):
-        pts.append(A.apply(pts[-1]))
+        pts.append(apply_map(A, pts[-1]))
     return pts
 
 
@@ -299,6 +300,6 @@ def test_orbit_denominators_keep_the_term_count_of_alpha():
     for pt in pts:
         assert all(c.is_zero() or len(c.den.terms) == len(L.terms)
                    for c in pt)
-    assert all(a == b for a, b in zip(pts[1], A.apply(alpha)))
-    report = C.density_check(pts, 1)
+    assert all(a == b for a, b in zip(pts[1], apply_map(A, alpha)))
+    report = C.density_check_orbit(A, alpha, 6, 1)
     assert report.is_dense()

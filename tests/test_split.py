@@ -586,6 +586,17 @@ def test_power_up_that_does_not_settle_is_a_self_check_failure(
     assert not cert.exists()
 
 
+def test_wrong_root_order_fails_the_defining_identity(monkeypatch):
+    # [[0, 1], [1, 1]] over F_2 has minimal polynomial x^2 + x + 1, whose
+    # roots have order 3: with the order forced to 1, x^1 is not s^0
+    # modulo that polynomial
+    monkeypatch.setattr(split, "_order_of_root", lambda f: 1)
+    with pytest.raises(split.SplitSelfCheckError,
+                       match="to the power 1 are not s\\^0"):
+        split_endomorphism([[OrePoly.zero(F2), OrePoly.one(F2)],
+                            [OrePoly.one(F2), OrePoly.one(F2)]])
+
+
 def test_wrong_r1_of_the_powered_map_is_a_self_check_failure(monkeypatch):
     # diag(F, 1 + F) over F_2 has r = (x - s)(x - s - 1); an r1 of x - 1
     # for A1 = 1 + F is coprime to r0 = x - s, but r does not divide
