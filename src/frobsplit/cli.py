@@ -8,13 +8,14 @@ are word characters; values are exact textual forms of the objects
 bracketed vectors `[c0,c1,...]`).  Lists use ` ; ` separators.
 
 Exit codes: 0 ok, 1 parse/validation error, 2 a degree/size cap of the
-engine (the x- or s-degree of the central minimal polynomial, a p^e - 1
-with a factor past trial division to 2^20 while ordering a root of
-unity, a lambda with a denominator past degree 2^10, a power of lambda
-past degree 2^20, a lambda equation with r > 3, an F-set or module
-enumeration of more than 100000 points), 3
-certificate/problem digest mismatch, 4 certificate verification failure
-(including a certificate that fails its self-check inside classify).
+engine (a term of an Ore polynomial past F-degree 2^20, the x- or
+s-degree of the central minimal polynomial, a p^e - 1 with a factor past
+trial division to 2^20 while ordering a root of unity, a lambda with a
+denominator past degree 2^10, a power of lambda past degree 2^20, a
+lambda equation with r > 3, an F-set or module enumeration of more than
+100000 points), 3 certificate/problem digest mismatch, 4 certificate
+verification failure (including a certificate that fails its self-check
+inside classify).
 """
 
 import argparse
@@ -25,7 +26,8 @@ from functools import cache
 from . import __version__
 from .fields import FieldSpec
 from .mrat import MPoly, MRatFun
-from .ore import OreParseError, format_ore, parse_ore, parse_field_literal
+from .ore import (OreParseError, format_ore, parse_field_literal, parse_ore,
+                  split_top)
 from .skew import min_poly_center, tilde
 from .split import (CapacityError, NonDominantError, SplitSelfCheckError,
                     split_endomorphism)
@@ -118,27 +120,23 @@ def _split_list(value):
     return [v.strip() for v in value.split(";")] if value.strip() else []
 
 
+def _numbered(sec, fmt):
+    """The keys fmt % 1, fmt % 2, ... of `sec` up to the first missing one."""
+    keys = []
+    while fmt % (len(keys) + 1) in sec:
+        keys.append(fmt % (len(keys) + 1))
+    return keys
+
+
+def _no_other_keys(sec, known, section):
+    extra = set(sec).difference(known)
+    if extra:
+        raise CLIError("unknown keys in [%s]: %s"
+                       % (section, ", ".join(sorted(extra))))
+
+
 # ---------------------------------------------------------------------------
 # multivariate polynomial / rational-function text forms
-
-def _split_top(text, seps):
-    """Split on separator characters at bracket depth zero."""
-    parts = []
-    depth = 0
-    cur = []
-    for ch in text:
-        if ch in "([":
-            depth += 1
-        elif ch in ")]":
-            depth -= 1
-        if ch in seps and depth == 0:
-            parts.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    parts.append("".join(cur))
-    return parts
-
 
 def parse_mpoly(text, spec, nvars):
     """Parse `c*t1^2*t2 + t1 + [1,1]` into an MPoly."""
@@ -146,13 +144,13 @@ def parse_mpoly(text, spec, nvars):
     if not text:
         raise CLIError("empty polynomial")
     acc = MPoly.zero(spec, nvars)
-    for term in _split_top(text, "+"):
+    for _, term in split_top(text, "+"):
         term = term.strip()
         if not term:
             raise CLIError("empty term in polynomial %r" % text)
         coeff = spec.one()
         exps = [0] * nvars
-        for factor in _split_top(term, "*"):
+        for _, factor in split_top(term, "*"):
             factor = factor.strip()
             if not factor:
                 raise CLIError("empty factor in term %r" % term)
@@ -179,12 +177,12 @@ def parse_mpoly(text, spec, nvars):
 def parse_mrat(text, spec, nvars):
     """Parse `poly` or `(num) / (den)` into an MRatFun."""
     text = text.strip()
-    parts = _split_top(text, "/")
+    parts = split_top(text, "/")
     if len(parts) == 1:
         return MRatFun(parse_mpoly(text, spec, nvars))
     if len(parts) != 2:
         raise CLIError("more than one top-level `/` in %r" % text)
-    num, den = (p.strip() for p in parts)
+    num, den = (p.strip() for _, p in parts)
     for side in (num, den):
         if not (side.startswith("(") and side.endswith(")")):
             raise CLIError("fraction sides must be parenthesized: %r" % text)
@@ -253,10 +251,7 @@ def parse_problem(text):
         expected = {"n"} | {"entry_%d_%d" % (i, j)
                             for i in range(1, n + 1)
                             for j in range(1, n + 1)}
-        extra = set(msec) - expected
-        if extra:
-            raise CLIError("unknown keys in [map]: %s"
-                           % ", ".join(sorted(extra)))
+        _no_other_keys(msec, expected, "map")
         missing = expected - set(msec)
         if missing:
             raise CLIError("missing keys in [map]: %s"
@@ -317,39 +312,28 @@ def problem_fset(problem):
     if "gamma0" not in sec:
         raise CLIError("[fset] needs gamma0")
     gamma0 = parse_point(_split_list(sec["gamma0"]), problem.spec, nvars)
-    N = len(gamma0)
-    gammas, ks = [], []
-    i = 1
-    while "gamma_%d" % i in sec:
-        g = parse_point(_split_list(sec["gamma_%d" % i]), problem.spec,
-                        nvars)
-        if len(g) != N:
-            raise CLIError("gamma_%d has wrong dimension" % i)
-        gammas.append(g)
-        ks.append(_get_int(sec, "k_%d" % i, "fset"))
-        i += 1
-    hgens = []
-    i = 1
-    while "h_%d" % i in sec:
-        hgens.append(parse_point(_split_list(sec["h_%d" % i]),
-                                 problem.spec, nvars))
-        i += 1
-    known = ({"gamma0", "nvars", "b", "module_bound", "include_zero"}
-             | {"gamma_%d" % j for j in range(1, len(gammas) + 1)}
-             | {"k_%d" % j for j in range(1, len(gammas) + 1)}
-             | {"h_%d" % j for j in range(1, len(hgens) + 1)})
-    extra = set(sec) - known
-    if extra:
-        raise CLIError("unknown keys in [fset]: %s"
-                       % ", ".join(sorted(extra)))
+    gamma_keys = _numbered(sec, "gamma_%d")
+    gammas = [parse_point(_split_list(sec[key]), problem.spec, nvars)
+              for key in gamma_keys]
+    k_keys = ["k_%d" % i for i in range(1, len(gammas) + 1)]
+    ks = [_get_int(sec, key, "fset") for key in k_keys]
+    h_keys = _numbered(sec, "h_%d")
+    hgens = [parse_point(_split_list(sec[key]), problem.spec, nvars)
+             for key in h_keys]
+    _no_other_keys(sec, {"gamma0", "nvars", "b", "module_bound",
+                         "include_zero", *gamma_keys, *k_keys, *h_keys},
+                   "fset")
     try:
         desc = FSetDescriptor(gamma0, gammas, ks, FpFModule(hgens))
     except ValueError as exc:
         raise CLIError(str(exc))
     b = _get_int(sec, "b", "fset", default=3)
     module_bound = _get_int(sec, "module_bound", "fset", default=0)
-    include_zero = sec.get("include_zero", "false").lower() == "true"
-    return desc, b, module_bound, include_zero
+    include_zero = sec.get("include_zero", "false").lower()
+    if include_zero not in ("true", "false"):
+        raise CLIError("include_zero in [fset] must be true or false, got %r"
+                       % sec["include_zero"])
+    return desc, b, module_bound, include_zero == "true"
 
 
 def problem_point(problem):
@@ -357,16 +341,9 @@ def problem_point(problem):
         raise CLIError("problem file has no [point] section")
     sec = problem.sections["point"]
     nvars = _get_int(sec, "nvars", "point")
-    coords = []
-    i = 1
-    while "x_%d" % i in sec:
-        coords.append(parse_mrat(sec["x_%d" % i], problem.spec, nvars))
-        i += 1
-    extra = set(sec) - ({"nvars"} | {"x_%d" % j
-                                     for j in range(1, len(coords) + 1)})
-    if extra:
-        raise CLIError("unknown keys in [point]: %s"
-                       % ", ".join(sorted(extra)))
+    keys = _numbered(sec, "x_%d")
+    coords = [parse_mrat(sec[key], problem.spec, nvars) for key in keys]
+    _no_other_keys(sec, {"nvars", *keys}, "point")
     if not coords:
         raise CLIError("[point] needs coordinates x_1, x_2, ...")
     return coords
@@ -421,6 +398,13 @@ def format_certificate(verdict, digest):
     return "\n".join(lines) + "\n"
 
 
+def _parse_entry(csec, key, spec):
+    try:
+        return parse_ore(csec[key], spec)
+    except OreParseError as exc:
+        raise CLIError("bad certificate entry %s: %s" % (key, exc))
+
+
 class CertificateData:
     def __init__(self, kind, payload, digest, sections):
         self.kind = kind
@@ -440,48 +424,29 @@ def parse_certificate(text, spec):
     kind = csec.get("kind")
     if kind == "B":
         n = _get_int(csec, "n", "certificate")
-        v = []
-        j = 1
-        while "v_%d" % j in csec:
-            try:
-                v.append(parse_ore(csec["v_%d" % j], spec))
-            except OreParseError as exc:
-                raise CLIError("bad certificate entry v_%d: %s" % (j, exc))
-            j += 1
-        if not v:
+        keys = _numbered(csec, "v_%d")
+        if not keys:
             raise CLIError("certificate B has no row entries")
-        payload = CertificateB(v, n)
-        known = {"n"} | {"v_%d" % j for j in range(1, len(v) + 1)}
+        payload = CertificateB([_parse_entry(csec, key, spec)
+                                for key in keys], n)
+        known = ["n", *keys]
     elif kind == "C":
         m = _get_int(csec, "m", "certificate")
         r = _get_int(csec, "r", "certificate")
-        T = []
-        i = 1
-        while "t_%d_1" % i in csec:
-            row = []
-            j = 1
-            while "t_%d_%d" % (i, j) in csec:
-                try:
-                    row.append(parse_ore(csec["t_%d_%d" % (i, j)], spec))
-                except OreParseError as exc:
-                    raise CLIError("bad certificate entry t_%d_%d: %s"
-                                   % (i, j, exc))
-                j += 1
-            T.append(row)
-            i += 1
+        T, known = [], ["m", "r"]
+        while True:
+            keys = _numbered(csec, "t_%d_%%d" % (len(T) + 1))
+            if not keys:
+                break
+            T.append([_parse_entry(csec, key, spec) for key in keys])
+            known += keys
         if not T:
             raise CLIError("certificate C has no rows")
         payload = CertificateC(T, m, r)
-        known = {"m", "r"} | {"t_%d_%d" % (i, j)
-                              for i, row in enumerate(T, 1)
-                              for j in range(1, len(row) + 1)}
     elif kind == "A":
         nvars = _get_int(csec, "nvars", "certificate")
-        alpha = []
-        i = 1
-        while "alpha_%d" % i in csec:
-            alpha.append(parse_mrat(csec["alpha_%d" % i], spec, nvars))
-            i += 1
+        keys = _numbered(csec, "alpha_%d")
+        alpha = [parse_mrat(csec[key], spec, nvars) for key in keys]
         if not alpha:
             raise CLIError("certificate A has no witness coordinates")
         payload = {
@@ -491,14 +456,10 @@ def parse_certificate(text, spec):
             "density_d": _positive(_get_int(csec, "density_d", "certificate",
                                             default=DENSITY_D), "density_d"),
         }
-        known = {"nvars", "density_m", "density_d", "outcome"} | {
-            "alpha_%d" % i for i in range(1, len(alpha) + 1)}
+        known = ["nvars", "density_m", "density_d", "outcome", *keys]
     else:
         raise CLIError("unknown certificate kind %r" % kind)
-    extra = set(csec) - known - {"kind", "applicable"}
-    if extra:
-        raise CLIError("unknown keys in [certificate]: %s"
-                       % ", ".join(sorted(extra)))
+    _no_other_keys(csec, known + ["kind", "applicable"], "certificate")
     return CertificateData(kind, payload, meta["digest"], sections)
 
 

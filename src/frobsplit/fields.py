@@ -36,6 +36,25 @@ def power(x, e, one, mul=operator.mul):
     return acc
 
 
+class CapacityError(ValueError):
+    """A degree or size cap of the engine was exceeded."""
+
+
+def poly_text(coeffs, var, fmt="%r"):
+    """`c0 + c1*v + c2*v^2 + ...` over the nonzero coefficients, written
+    by `fmt` and left out where a one multiplies v^i, i >= 1; "0" if none."""
+    parts = []
+    for i, c in enumerate(coeffs):
+        if c.is_zero():
+            continue
+        if not i:
+            parts.append(fmt % (c,))
+            continue
+        v = var if i == 1 else "%s^%d" % (var, i)
+        parts.append(v if c.is_one() else "%s*%s" % (fmt % (c,), v))
+    return " + ".join(parts) or "0"
+
+
 def is_prime(n):
     if n < 2:
         return False
@@ -645,18 +664,7 @@ class CPoly:
         return hash((self.spec, self._c))
 
     def __repr__(self):
-        if not self._c:
-            return "0"
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if c.is_zero():
-                continue
-            if i == 0:
-                parts.append(repr(c))
-            else:
-                sv = "s" if i == 1 else "s^%d" % i
-                parts.append(sv if c.is_one() else "%s*%s" % (repr(c), sv))
-        return " + ".join(parts)
+        return poly_text(self.coeffs, "s")
 
 
 def _poly(cls, spec, c):

@@ -3,7 +3,7 @@ its evaluation action on field elements and rational functions, and
 decomposition over the center F_q[F^ell].
 """
 
-from .fields import CPoly, FqElem, power
+from .fields import CapacityError, CPoly, FqElem, poly_text, power
 from .mrat import MRatFun
 
 
@@ -166,21 +166,12 @@ def _coerce(a, target_spec):
 # textual grammar: `a0 + a1*F + a2*F^2` with field-element literals that are
 # either integers (prime field) or bracketed vectors `[c0,c1,...]`
 
+# parse_ore stores one coefficient per power of F
+F_DEGREE_CAP = 2 ** 20
+
+
 def format_ore(P):
-    if P.is_zero():
-        return "0"
-    parts = []
-    for i, c in enumerate(P.coeffs):
-        if c.is_zero():
-            continue
-        fpart = "" if i == 0 else ("F" if i == 1 else "F^%d" % i)
-        if not fpart:
-            parts.append(repr(c))
-        elif c.is_one():
-            parts.append(fpart)
-        else:
-            parts.append("%s*%s" % (repr(c), fpart))
-    return " + ".join(parts)
+    return poly_text(P.coeffs, "F")
 
 
 class OreParseError(ValueError):
@@ -206,69 +197,62 @@ def parse_field_literal(text, spec):
     return spec.element(ints)
 
 
+def split_top(text, seps):
+    """Cut `text` at the characters of `seps` outside `[]` and `()`: a
+    list of (separator, part) pairs, the first with the separator ''."""
+    out = []
+    sep, start, depth = "", 0, 0
+    for i, ch in enumerate(text):
+        if ch in seps:
+            if not depth:
+                out.append((sep, text[start:i]))
+                sep, start = ch, i + 1
+        elif ch in "[(":
+            depth += 1
+        elif ch in ")]":
+            depth -= 1
+    out.append((sep, text[start:]))
+    return out
+
+
 def parse_ore(text, spec):
     """Parse `a0 + a1*F + a2*F^2`; also accepts right-coefficient terms
-    like `F*a`, which are normalized to the canonical left form."""
-    text = text.strip()
-    if not text:
+    like `F*a`, which are normalized to the canonical left form.  A term's
+    sign is the product of the signs since the previous term, so
+    `F - -1` is F + 1."""
+    if not text.strip():
         raise OreParseError("empty Ore polynomial")
-    # split on top-level + and - signs
-    terms = []
-    depth = 0
-    cur = ""
-    sign = 1
-    for ch in text:
-        if ch == "[":
-            depth += 1
-        elif ch == "]":
-            depth -= 1
-        if depth == 0 and ch in "+-" and cur.strip():
-            terms.append((sign, cur))
-            sign = 1 if ch == "+" else -1
-            cur = ""
-        elif depth == 0 and ch in "+-" and not cur.strip():
-            if ch == "-":
-                sign = -sign
-        else:
-            cur += ch
-    if cur.strip():
-        terms.append((sign, cur))
-    result = OrePoly.zero(spec)
-    for sign, term in terms:
-        result = result + _parse_term(term.strip(), spec, sign)
-    return result
+    coeffs, sign = [], 1
+    for sep, term in split_top(text, "+-"):
+        if sep == "-":
+            sign = -sign
+        term = term.strip()
+        if term:
+            coef, k = _parse_term(term, spec, sign)
+            coeffs += [spec.zero()] * (k + 1 - len(coeffs))
+            coeffs[k] = coeffs[k] + coef
+            sign = 1
+    return OrePoly(spec, coeffs)
 
 
 def _parse_term(term, spec, sign):
-    factors = []
-    depth = 0
-    cur = ""
-    for ch in term:
-        if ch == "[":
-            depth += 1
-        elif ch == "]":
-            depth -= 1
-        if depth == 0 and ch == "*":
-            factors.append(cur.strip())
-            cur = ""
-        else:
-            cur += ch
-    if cur.strip():
-        factors.append(cur.strip())
-    # the term is one monomial c*F^k, read left to right: F^j adds j to
-    # k, and a constant a moves left past F^k as phi^k(a) = a^(p^k)
+    """(c, k) of the monomial c*F^k, read left to right: F^j adds j to k,
+    and a constant a moves left past F^k as phi^k(a) = a^(p^k)."""
     coef, k = spec.from_int(sign), 0
-    for fac in factors:
+    for _, fac in split_top(term, "*"):
+        fac = fac.strip()
         if fac == "F":
             k += 1
         elif fac.startswith("F^"):
             try:
-                power = int(fac[2:])
+                k += int(fac[2:])
             except ValueError:
                 raise OreParseError("bad F power: %r" % fac)
-            if power < 0:
-                raise OreParseError("negative F power: %r" % fac)
-            k += power
-        else:
+        elif fac:
             coef = coef * parse_field_literal(fac, spec).frobenius(k)
-    return OrePoly(spec, (spec.zero(),) * k + (coef,))
+        else:
+            raise OreParseError("empty factor in term %r" % term)
+    if k > F_DEGREE_CAP:
+        raise CapacityError("F^%d in term %r, above the cap %d on the "
+                            "F-degree of a term" % (k, term, F_DEGREE_CAP))
+    return coef, k

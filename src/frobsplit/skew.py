@@ -18,8 +18,8 @@ first relation among the powers where it was.
 from functools import cache
 
 from .fields import (CPoly, FieldSpec, RatFun, RatFunRing, _poly, char_poly,
-                     lift_cpoly, mat_mul, power, rref, rref_kernel,
-                     solve_linear)
+                     lift_cpoly, mat_mul, poly_text, power, rref,
+                     rref_kernel, solve_linear)
 from .ore import OrePoly
 
 
@@ -419,20 +419,7 @@ class CenterPoly(CPoly):
         return acc
 
     def __repr__(self):
-        if self.is_zero():
-            return "0"
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if c.is_zero():
-                continue
-            xv = "" if i == 0 else ("x" if i == 1 else "x^%d" % i)
-            if not xv:
-                parts.append("(%s)" % repr(c))
-            elif c.is_one():
-                parts.append(xv)
-            else:
-                parts.append("(%s)*%s" % (repr(c), xv))
-        return " + ".join(parts)
+        return poly_text(self.coeffs, "x", "(%r)")
 
 
 def companion_matrix(g):

@@ -16,17 +16,13 @@ as its columns, so P * B^(p^a) * P^{-1} = A0 (+) A1 with A0 diagonal.
 import itertools
 import math
 
-from .fields import (CPoly, FieldSpec, RatFun, _poly, char_poly,
-                     lift_cpoly, mat_mul, power)
+from .fields import (CapacityError, CPoly, FieldSpec, RatFun, _poly,
+                     char_poly, lift_cpoly, mat_mul, power)
 from .fqfactor import (factor as fq_factor, factor_squarefree, powmod,
                        pth_root)
 from .skew import (CenterPoly, SkewElem, SkewMatrix, SplitSelfCheckError,
                    companion_matrix, matrix_inverse, min_poly_center,
                    right_kernel)
-
-
-class CapacityError(ValueError):
-    """A degree or size cap of the engine was exceeded."""
 
 
 class NonDominantError(ValueError):

@@ -679,3 +679,44 @@ def test_fset_enumeration_past_the_cap_is_bound_exit_2(tmp_path, capsys):
     assert out == ""
     assert err == ("error: bound exhausted: F-set enumeration of size "
                    "125000 exceeds cap 100000\n")
+
+
+def test_empty_factor_in_an_entry_is_error_exit_1(tmp_path, capsys):
+    prob = tmp_path / "p.txt"
+    prob.write_text(IDENTITY.replace("entry_1_1 = 1", "entry_1_1 = F*-1"))
+    assert main(["classify", str(prob)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: bad Ore polynomial for entry_1_1: empty factor "
+                   "in term 'F*'\n")
+
+
+@pytest.mark.parametrize("entry,k", [("F^99999999999", 99999999999),
+                                     ("F^600000*F^600000", 1200000)])
+def test_F_degree_past_the_cap_is_bound_exit_2(tmp_path, capsys, entry, k):
+    import time
+    prob = tmp_path / "p.txt"
+    prob.write_text(IDENTITY.replace("entry_1_1 = 1", "entry_1_1 = " + entry))
+    start = time.perf_counter()
+    assert main(["classify", str(prob)]) == 2
+    assert time.perf_counter() - start < 1.0
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: bound exhausted: F^%d in term %r, above the cap "
+                   "1048576 on the F-degree of a term\n" % (k, entry))
+
+
+def test_include_zero_takes_only_true_or_false(tmp_path, capsys):
+    prob = tmp_path / "p.txt"
+    text = ("[field]\np = 2\nell = 1\n\n[fset]\ngamma0 = 0\ngamma_1 = t1\n"
+            "k_1 = 1\nb = 3\ninclude_zero = %s\n")
+    for value, count in (("true", 4), ("False", 3)):
+        prob.write_text(text % value)
+        code, out = run(["tools", "fset", str(prob)])
+        assert code == 0 and out.endswith("count = %d\n" % count)
+    prob.write_text(text % "yes")
+    assert main(["tools", "fset", str(prob)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: include_zero in [fset] must be true or false, "
+                   "got 'yes'\n")
